@@ -33,6 +33,7 @@ use greenness_codec::{Codec, CodecCostModel, ScratchCodec};
 use greenness_faults::{FaultInjector, FaultPlan, Site};
 use greenness_heatsim::{Grid, SimCostModel, SolverConfig};
 use greenness_platform::{HardwareSpec, NetModel, Node, Phase, SimTime};
+use greenness_trace::hash::checksum64;
 use greenness_trace::{Tracer, Value};
 use greenness_viz::{encode_ppm, render_field, RenderCostModel, RenderOptions};
 use serde::{Deserialize, Serialize};
@@ -339,16 +340,15 @@ impl ClusterReport {
 
 const FNV_SEED: u64 = 0xcbf2_9ce4_8422_2325;
 
+/// Byte-at-a-time FNV-1a continued from state `h`. `image_hash` chains it
+/// over every emitted image and is a reported output, so it keeps this
+/// definition; the slab integrity checks use [`checksum64`].
 fn fnv1a_with(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(0x1000_0000_01b3);
     }
     h
-}
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    fnv1a_with(FNV_SEED, bytes)
 }
 
 /// Exact pixel-row partition for slab renders: slab rows `[j0, j0+rows)` of
@@ -439,7 +439,7 @@ pub fn run_cluster_traced(
     let mut staging_torn_renders = 0u64;
     let mut image_hash = FNV_SEED;
     let mut verified = true;
-    let mut checksums: Vec<(u64, Vec<u64>)> = Vec::new(); // (step, per-slab fnv)
+    let mut checksums: Vec<(u64, Vec<u64>)> = Vec::new(); // (step, per-slab checksum)
 
     for step in 1..=cfg.timesteps {
         // The real distributed physics.
@@ -466,7 +466,7 @@ pub fn run_cluster_traced(
                 let mut sums = Vec::with_capacity(cfg.compute_nodes);
                 for (k, node) in compute.iter_mut().enumerate() {
                     let bytes = solver.slab_bytes(k);
-                    sums.push(fnv1a(&bytes));
+                    sums.push(checksum64(&bytes));
                     pfs_bytes += bytes.len() as u64;
                     pfs.write(
                         node,
@@ -545,7 +545,7 @@ pub fn run_cluster_traced(
                 for (k, node) in compute.iter_mut().enumerate() {
                     let raw = solver.slab_bytes(k);
                     let raw_len = raw.len() as u64;
-                    let sum = fnv1a(&raw);
+                    let sum = checksum64(&raw);
                     staging_raw_bytes += raw_len;
                     tracer.count("staging.bytes.raw", raw_len);
                     let payload: Vec<u8> = match encoders.get_mut(k) {
@@ -586,7 +586,7 @@ pub fn run_cluster_traced(
                         }
                         None => payload,
                     };
-                    if cfg.staging.wire_codec.lossless() && fnv1a(&raw) != sum {
+                    if cfg.staging.wire_codec.lossless() && checksum64(&raw) != sum {
                         verified = false;
                     }
                     slabs.push(raw);
@@ -679,7 +679,7 @@ pub fn run_cluster_traced(
             for (k, sum) in sums.iter().enumerate() {
                 let bytes =
                     pfs.read(viz, &fabric, &format!("snap{step:04}.n{k:02}"), Phase::Read)?;
-                if fnv1a(&bytes) != *sum {
+                if checksum64(&bytes) != *sum {
                     verified = false;
                 }
                 slabs.push(bytes);

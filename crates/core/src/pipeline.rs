@@ -24,6 +24,7 @@ use greenness_faults::{FaultPlan, Site};
 use greenness_heatsim::{Grid, HeatSolver, SolverError};
 use greenness_platform::{Activity, Node, Phase};
 use greenness_storage::{FileSystem, FsConfig, FsError, MemBlockDevice};
+use greenness_trace::hash::checksum64;
 use greenness_trace::Value;
 use greenness_viz::{encode_ppm, render_field, Framebuffer};
 
@@ -153,16 +154,6 @@ pub struct PipelineOutput {
     pub verified: bool,
 }
 
-/// FNV-1a, for cheap snapshot checksums.
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    h
-}
-
 pub(crate) fn write_chunked(
     node: &mut Node,
     fs: &mut FileSystem<MemBlockDevice>,
@@ -283,7 +274,7 @@ pub fn run_with_faults(
             PipelineKind::PostProcessing => {
                 let bytes = solver.grid().to_bytes();
                 let name = format!("snap{step:04}");
-                checksums.push((name.clone(), step, fnv1a(&bytes)));
+                checksums.push((name.clone(), step, checksum64(&bytes)));
                 out.bytes_written +=
                     write_chunked(node, &mut fs, &name, &bytes, cfg.chunk_bytes, Phase::Write)?;
             }
@@ -342,7 +333,7 @@ pub fn run_with_faults(
         for (name, step, checksum) in &checksums {
             let bytes = read_chunked(node, &mut fs, name, cfg.chunk_bytes, Phase::Read)?;
             out.bytes_read += bytes.len() as u64;
-            if fnv1a(&bytes) != *checksum {
+            if checksum64(&bytes) != *checksum {
                 out.verified = false;
             }
             let grid = Grid::from_bytes(cfg.grid_nx, cfg.grid_ny, &bytes)
@@ -448,6 +439,38 @@ mod tests {
                 "frame {} differs between pipelines",
                 p.step
             );
+        }
+    }
+
+    #[test]
+    fn snapshot_checksum_catches_a_corrupted_device_byte() {
+        use greenness_storage::{BlockDevice, BLOCK_SIZE};
+
+        let mut node = Node::new(HardwareSpec::table1());
+        let mut fs = FileSystem::format(
+            MemBlockDevice::with_capacity_bytes(1 << 20),
+            FsConfig::default(),
+        );
+        let grid = Grid::from_fn(40, 30, |x, y| (7.0 * x).sin() + y);
+        let bytes = grid.to_bytes();
+        let sum = checksum64(&bytes);
+        write_chunked(&mut node, &mut fs, "snap", &bytes, 4096, Phase::Write).expect("fits");
+        let blocks = fs.device_blocks("snap").expect("written");
+        let mut flip = |fs: &mut FileSystem<MemBlockDevice>, offset: usize| {
+            let block = blocks[offset / BLOCK_SIZE as usize];
+            let mut buf = vec![0u8; BLOCK_SIZE as usize];
+            fs.device().read_block(block, &mut buf);
+            buf[offset % BLOCK_SIZE as usize] ^= 0x10;
+            fs.device_mut().write_block(block, &buf);
+            fs.drop_caches();
+            read_chunked(&mut node, fs, "snap", 4096, Phase::Read).expect("readable")
+        };
+        for offset in [0, 4097, bytes.len() / 2 + 3, bytes.len() - 1] {
+            let corrupted = flip(&mut fs, offset);
+            assert_eq!(corrupted.len(), bytes.len());
+            assert_ne!(checksum64(&corrupted), sum, "flip at {offset} went unseen");
+            let restored = flip(&mut fs, offset);
+            assert_eq!(checksum64(&restored), sum);
         }
     }
 

@@ -12,13 +12,15 @@
 //! this model are state-independent, so the replay is bit-identical to a
 //! full recompute while doing none of the stencil or rasterization work.
 //!
-//! Everything here is deterministic. Frames are hashed with the same FNV-1a
-//! the batch pipelines use for snapshot checksums, so two sessions that apply
-//! the same adjustments at the same steps produce byte-identical transcripts
-//! for any solver thread count and across reruns.
+//! Everything here is deterministic. Frames are hashed with byte-at-a-time
+//! FNV-1a ([`greenness_faults::fnv1a64`]); the hash is part of the
+//! transcript, so two sessions that apply the same adjustments at the same
+//! steps produce byte-identical transcripts for any solver thread count and
+//! across reruns.
 
 use crate::config::PipelineConfig;
-use crate::pipeline::{fnv1a, PipelineError};
+use crate::pipeline::PipelineError;
+use greenness_faults::fnv1a64;
 use greenness_heatsim::{Grid, HeatSolver};
 use greenness_platform::{AccessPattern, Activity, Node, Phase};
 use greenness_viz::{encode_ppm, ppm_size_bytes, render_field, Colormap};
@@ -285,7 +287,7 @@ impl SteeringPipeline {
             step: self.step,
             width: self.cfg.render.width,
             height: self.cfg.render.height,
-            hash: fnv1a(&ppm),
+            hash: fnv1a64(&ppm),
             bytes: ppm.len() as u64,
         }
     }

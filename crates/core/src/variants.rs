@@ -24,10 +24,11 @@ use greenness_codec::{Codec, CodecCostModel, ScratchCodec};
 use greenness_heatsim::{Grid, HeatSolver};
 use greenness_platform::{Node, Phase};
 use greenness_storage::{FileSystem, FsConfig, MemBlockDevice};
+use greenness_trace::hash::checksum64;
 use greenness_viz::{encode_ppm, render_field, stride_sample, RenderOptions};
 
 use crate::config::PipelineConfig;
-use crate::pipeline::{fnv1a, read_chunked, write_chunked};
+use crate::pipeline::{read_chunked, write_chunked};
 
 /// Which codec a compressed pipeline uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -167,7 +168,7 @@ fn sampled_post(node: &mut Node, cfg: &PipelineConfig, stride: usize) -> Variant
         let reduced = stride_sample(solver.grid(), stride);
         let bytes = reduced.to_bytes();
         let name = format!("snap{step:04}");
-        names.push((name.clone(), fnv1a(&bytes), reduced.nx(), reduced.ny()));
+        names.push((name.clone(), checksum64(&bytes), reduced.nx(), reduced.ny()));
         written += write_chunked(node, &mut fs, &name, &bytes, cfg.chunk_bytes, Phase::Write)
             .expect("device sized for the variant run");
     }
@@ -178,7 +179,7 @@ fn sampled_post(node: &mut Node, cfg: &PipelineConfig, stride: usize) -> Variant
     for (name, sum, nx, ny) in &names {
         let bytes = read_chunked(node, &mut fs, name, cfg.chunk_bytes, Phase::Read)
             .expect("snapshot readable");
-        if fnv1a(&bytes) != *sum {
+        if checksum64(&bytes) != *sum {
             verified = false;
         }
         let grid = Grid::from_bytes(*nx, *ny, &bytes).expect("reduced snapshot shape");
@@ -209,7 +210,7 @@ fn compressed_post(node: &mut Node, cfg: &PipelineConfig, choice: CodecChoice) -
     let pixels = (cfg.render.width * cfg.render.height) as u64;
     let mut written = 0u64;
     let mut raw = 0u64;
-    let mut names: Vec<(String, u64, f64, f64)> = Vec::new(); // name, raw fnv, min, max
+    let mut names: Vec<(String, u64, f64, f64)> = Vec::new(); // name, raw checksum, min, max
 
     for step in 1..=cfg.timesteps {
         solver.step();
@@ -226,7 +227,7 @@ fn compressed_post(node: &mut Node, cfg: &PipelineConfig, choice: CodecChoice) -
         let name = format!("snap{step:04}");
         names.push((
             name.clone(),
-            fnv1a(&bytes),
+            checksum64(&bytes),
             solver.grid().min(),
             solver.grid().max(),
         ));
@@ -253,7 +254,7 @@ fn compressed_post(node: &mut Node, cfg: &PipelineConfig, choice: CodecChoice) -
         );
         match choice {
             CodecChoice::Lossless => {
-                if fnv1a(&decoded) != *raw_sum {
+                if checksum64(&decoded) != *raw_sum {
                     verified = false;
                 }
             }
@@ -402,7 +403,7 @@ fn burst_buffer_post(node: &mut Node, cfg: &PipelineConfig, buffer_bytes: u64) -
         let bytes = solver.grid().to_bytes();
         raw += bytes.len() as u64;
         let name = format!("snap{step:04}");
-        names.push((name.clone(), fnv1a(&bytes)));
+        names.push((name.clone(), checksum64(&bytes)));
         bb.stage(node, &mut fs, &name, &bytes, Phase::Write)
             .expect("buffer sized");
     }
@@ -416,7 +417,7 @@ fn burst_buffer_post(node: &mut Node, cfg: &PipelineConfig, buffer_bytes: u64) -
     for (name, sum) in &names {
         let size = fs.size(name).expect("drained snapshot exists");
         let bytes = fs.read(node, name, 0, size, Phase::Read).expect("readable");
-        if fnv1a(&bytes) != *sum {
+        if checksum64(&bytes) != *sum {
             verified = false;
         }
         let grid = Grid::from_bytes(cfg.grid_nx, cfg.grid_ny, &bytes)

@@ -111,9 +111,9 @@ impl Grid {
 
     /// Serialize to little-endian `f64`s, row-major.
     pub fn to_bytes(&self) -> Bytes {
-        let mut out = Vec::with_capacity(self.cells() * 8);
-        for v in &self.data {
-            out.extend_from_slice(&v.to_le_bytes());
+        let mut out = vec![0u8; self.data.len() * 8];
+        for (dst, v) in out.chunks_exact_mut(8).zip(&self.data) {
+            dst.copy_from_slice(&v.to_le_bytes());
         }
         Bytes::from(out)
     }
@@ -123,13 +123,16 @@ impl Grid {
     /// Returns `None` if `bytes` is not exactly `nx × ny` little-endian
     /// `f64`s.
     pub fn from_bytes(nx: usize, ny: usize, bytes: &[u8]) -> Option<Grid> {
-        if bytes.len() != nx * ny * 8 || nx < 3 || ny < 3 {
+        let cells = nx.checked_mul(ny)?;
+        if nx < 3 || ny < 3 || cells.checked_mul(8)? != bytes.len() {
             return None;
         }
-        let data = bytes
-            .chunks_exact(8)
-            .map(|c| f64::from_le_bytes(c.try_into().expect("chunks_exact(8)")))
-            .collect();
+        let mut data = vec![0.0; cells];
+        for (v, chunk) in data.iter_mut().zip(bytes.chunks_exact(8)) {
+            if let [a, b, c, d, e, f, g, h] = *chunk {
+                *v = f64::from_le_bytes([a, b, c, d, e, f, g, h]);
+            }
+        }
         Some(Grid { nx, ny, data })
     }
 
@@ -175,6 +178,9 @@ mod tests {
         let b = g.to_bytes();
         assert!(Grid::from_bytes(8, 8, &b[..b.len() - 1]).is_none());
         assert!(Grid::from_bytes(9, 8, &b).is_none());
+        // A shape whose byte size overflows is rejected, not a panic.
+        assert!(Grid::from_bytes(usize::MAX, 3, &b).is_none());
+        assert!(Grid::from_bytes(usize::MAX / 8 + 1, 3, &b).is_none());
     }
 
     #[test]

@@ -30,6 +30,35 @@ proptest! {
         prop_assert_eq!(g, g2);
     }
 
+    /// `to_bytes` is byte-identical to the per-element `to_le_bytes` form,
+    /// and `from_bytes` restores every bit pattern, on non-square grids
+    /// holding `-0.0`, ±inf and NaNs with arbitrary payloads.
+    #[test]
+    fn snapshot_bytes_match_per_element_form(
+        nx in 3usize..20,
+        ny in 3usize..20,
+        bits in prop::collection::vec(any::<u64>(), 1..32),
+        specials in prop::collection::vec((any::<usize>(), 0usize..4), 0..8),
+    ) {
+        let mut g = Grid::zeros(nx, ny);
+        let cells = g.cells();
+        for (k, v) in g.as_mut_slice().iter_mut().enumerate() {
+            *v = f64::from_bits(bits[k % bits.len()]);
+        }
+        for (at, which) in specials {
+            g.as_mut_slice()[at % cells] =
+                [-0.0, f64::INFINITY, f64::NEG_INFINITY, f64::from_bits(0x7ff8_dead_beef_0001)][which];
+        }
+        let expected: Vec<u8> = g.as_slice().iter().flat_map(|v| v.to_le_bytes()).collect();
+        let b = g.to_bytes();
+        prop_assert_eq!(&b[..], &expected[..]);
+        let back = Grid::from_bytes(nx, ny, &b).expect("exact size");
+        let back_bits: Vec<u64> = back.as_slice().iter().map(|v| v.to_bits()).collect();
+        let want_bits: Vec<u64> = g.as_slice().iter().map(|v| v.to_bits()).collect();
+        prop_assert_eq!(back_bits, want_bits);
+        prop_assert_eq!((back.nx(), back.ny()), (nx, ny));
+    }
+
     /// Chunking at any positive size reassembles to the original bytes.
     #[test]
     fn chunking_reassembles(g in arb_grid(), chunk in 1usize..4096) {

@@ -36,8 +36,9 @@ pub fn decode_ppm(data: &[u8]) -> Option<Framebuffer> {
     if maxval != 255 {
         return None;
     }
-    // Exactly one whitespace byte after maxval, then raw pixels.
-    let body = &data[pos + 1..];
+    // Exactly one whitespace byte after maxval, then raw pixels; a header
+    // that ends at maxval has no body at all.
+    let body = data.get(pos + 1..)?;
     Framebuffer::from_bytes(width, height, body.to_vec())
 }
 
@@ -97,6 +98,8 @@ mod tests {
         assert!(decode_ppm(b"P5\n2 2\n255\n----").is_none());
         assert!(decode_ppm(b"P6\n2 2\n65535\n").is_none());
         assert!(decode_ppm(b"P6\n2 2\n255\nshort").is_none());
+        assert!(decode_ppm(b"P6\n2 2\n255").is_none());
+        assert!(decode_ppm(b"P6\n99999999999 99999999999\n255\n").is_none());
         let fb = test_image();
         let mut truncated = encode_ppm(&fb);
         truncated.pop();

@@ -1,7 +1,6 @@
 //! Framebuffer and scalar-field rasterization.
 
 use greenness_heatsim::Grid;
-use rayon::prelude::*;
 
 use crate::colormap::{Colormap, Rgb};
 
@@ -73,7 +72,8 @@ impl Framebuffer {
 
     /// Construct from raw RGB bytes.
     pub fn from_bytes(width: usize, height: usize, bytes: Vec<u8>) -> Option<Framebuffer> {
-        if width == 0 || height == 0 || bytes.len() != width * height * 3 {
+        let len = width.checked_mul(height).and_then(|n| n.checked_mul(3));
+        if width == 0 || height == 0 || len != Some(bytes.len()) {
             return None;
         }
         Some(Framebuffer {
@@ -110,25 +110,64 @@ impl Default for RenderOptions {
     }
 }
 
-/// Render `field` into an image by bilinear sampling, rows in parallel.
+/// Render `field` into an image by bilinear sampling.
+///
+/// The sample positions and weights depend only on the column (x) or only
+/// on the row (y), so they are computed once per axis; each pixel then does
+/// the blend and the colormap lookup. The arithmetic is the same expression
+/// tree as [`bilinear`], so the output is bit-identical to
+/// [`render_field_reference`].
 pub fn render_field(field: &Grid, opts: &RenderOptions) -> Framebuffer {
     let (lo, hi) = opts.range.unwrap_or_else(|| (field.min(), field.max()));
     let span = (hi - lo).max(1e-300);
     let mut fb = Framebuffer::new(opts.width, opts.height);
-    let width = opts.width;
-    let cm = opts.colormap;
-    fb.pixels
-        .par_chunks_mut(width * 3)
-        .enumerate()
-        .for_each(|(y, row)| {
-            let v = (y as f64 + 0.5) / opts.height as f64;
-            for x in 0..width {
-                let u = (x as f64 + 0.5) / width as f64;
-                let t = (bilinear(field, u, v) - lo) / span;
-                let c = cm.map(t);
-                row[x * 3..x * 3 + 3].copy_from_slice(&c);
-            }
-        });
+    let nx = field.nx();
+    let cols = taps(opts.width, nx);
+    let rows = taps(opts.height, field.ny());
+    let data = field.as_slice();
+    for (row, &(y0, y1, wy, ty)) in fb.pixels.chunks_exact_mut(opts.width * 3).zip(&rows) {
+        let r0 = &data[y0 * nx..(y0 + 1) * nx];
+        let r1 = &data[y1 * nx..(y1 + 1) * nx];
+        for (px, &(x0, x1, wx, tx)) in row.chunks_exact_mut(3).zip(&cols) {
+            let a = r0[x0] * wx + r0[x1] * tx;
+            let b = r1[x0] * wx + r1[x1] * tx;
+            let t = (a * wy + b * ty - lo) / span;
+            px.copy_from_slice(&opts.colormap.map(t));
+        }
+    }
+    fb
+}
+
+/// Bilinear taps along one axis: for each of `out` pixels, the two source
+/// cells `(i0, i1)` and their weights `(1 - t, t)`, computed exactly as
+/// [`bilinear`] computes them per pixel.
+fn taps(out: usize, n: usize) -> Vec<(usize, usize, f64, f64)> {
+    (0..out)
+        .map(|k| {
+            let u = (k as f64 + 0.5) / out as f64;
+            let f = (u.clamp(0.0, 1.0) * n as f64 - 0.5).clamp(0.0, (n - 1) as f64);
+            let i0 = f.floor() as usize;
+            let t = f - i0 as f64;
+            (i0, (i0 + 1).min(n - 1), 1.0 - t, t)
+        })
+        .collect()
+}
+
+/// The original per-pixel renderer: [`bilinear`] and
+/// [`Colormap::map_reference`] for every pixel. Retained as the oracle
+/// [`render_field`] must match bit for bit; nothing at runtime calls it.
+pub fn render_field_reference(field: &Grid, opts: &RenderOptions) -> Framebuffer {
+    let (lo, hi) = opts.range.unwrap_or_else(|| (field.min(), field.max()));
+    let span = (hi - lo).max(1e-300);
+    let mut fb = Framebuffer::new(opts.width, opts.height);
+    for y in 0..opts.height {
+        let v = (y as f64 + 0.5) / opts.height as f64;
+        for x in 0..opts.width {
+            let u = (x as f64 + 0.5) / opts.width as f64;
+            let t = (bilinear(field, u, v) - lo) / span;
+            fb.set(x, y, opts.colormap.map_reference(t));
+        }
+    }
     fb
 }
 

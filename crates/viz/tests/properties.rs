@@ -32,8 +32,7 @@ proptest! {
         prop_assert_eq!(back, fb);
     }
 
-    /// Rendering the same field twice is bit-identical (rayon must not leak
-    /// nondeterminism) and every pixel is a valid colormap output.
+    /// Rendering the same field twice is bit-identical.
     #[test]
     fn rendering_is_pure(g in arb_grid()) {
         let opts = RenderOptions { width: 48, height: 48, ..Default::default() };
@@ -77,6 +76,31 @@ proptest! {
             prop_assert_eq!(g.at(i as usize, j as usize), v);
             prop_assert!(v.abs() >= thr);
         }
+    }
+
+    /// The decoder never panics: arbitrary bytes, arbitrary bytes behind a
+    /// valid magic, and every truncated prefix of a valid image are either
+    /// decoded or rejected, and only the whole image decodes.
+    #[test]
+    fn ppm_decoder_never_panics(
+        noise in prop::collection::vec(any::<u8>(), 0..64),
+        g in arb_grid(),
+        w in 1usize..12,
+        h in 1usize..12,
+    ) {
+        let _ = decode_ppm(&noise);
+        let mut magic = b"P6\n".to_vec();
+        magic.extend_from_slice(&noise);
+        let _ = decode_ppm(&magic);
+        let fb = render_field(
+            &g,
+            &RenderOptions { width: w, height: h, colormap: Colormap::Gray, range: None },
+        );
+        let ppm = encode_ppm(&fb);
+        for cut in 0..ppm.len() {
+            prop_assert!(decode_ppm(&ppm[..cut]).is_none(), "prefix of {} bytes decoded", cut);
+        }
+        prop_assert_eq!(decode_ppm(&ppm), Some(fb));
     }
 
     /// Colormaps are total over all inputs including pathological ones.

@@ -430,3 +430,47 @@ fn golden_cluster_wire_compression_flips_case2() {
         "the quantizer must stay better than 7:1 on the smooth heat field"
     );
 }
+
+// ------------------------------------------------------------ Frame digests
+
+/// BLAKE2s digest of a rendered frame's RGB bytes, hex.
+fn frame_digest(field: &greenness_heatsim::Grid, opts: &greenness_viz::RenderOptions) -> String {
+    let fb = greenness_viz::render_field(field, opts);
+    greenness_trace::hash::hex(&greenness_trace::hash::blake2s256(fb.as_bytes()))
+}
+
+#[test]
+fn golden_case_study_frame_digest() {
+    // The 512² Hot frame of the case-study field after one solver step,
+    // pinned from the original per-pixel renderer: any renderer rewrite
+    // must reproduce it byte for byte.
+    let cfg = greenness_core::PipelineConfig::case_study(1);
+    let initial = greenness_heatsim::Grid::from_fn(cfg.grid_nx, cfg.grid_ny, |x, y| {
+        0.3 * (-((x - 0.5).powi(2) + (y - 0.4).powi(2)) * 40.0).exp()
+    });
+    let mut solver =
+        greenness_heatsim::HeatSolver::new(initial, cfg.solver.clone()).expect("case-study solver");
+    solver.step();
+    assert_eq!(
+        frame_digest(solver.grid(), &cfg.render),
+        "6b9104d94994fa6bfd46fac64bf1f20c4a8388241a295743e17b408f0196cedf"
+    );
+}
+
+#[test]
+fn golden_autorange_viridis_frame_digest() {
+    // A non-square, auto-ranged Viridis frame upsampled from a 40×23
+    // field, pinned from the original per-pixel renderer.
+    let field =
+        greenness_heatsim::Grid::from_fn(40, 23, |x, y| (9.0 * x).sin() * (5.0 * y).cos() + x * y);
+    let opts = greenness_viz::RenderOptions {
+        width: 96,
+        height: 37,
+        colormap: greenness_viz::Colormap::Viridis,
+        range: None,
+    };
+    assert_eq!(
+        frame_digest(&field, &opts),
+        "92af15deaaf05618efcd23921562074b27387a8f6f82a54a397994282aa8b408"
+    );
+}
