@@ -139,26 +139,21 @@ fn ablate_sampling(c: &mut Criterion) {
     });
 }
 
-/// Host-side parallelism of the real solver (rayon thread count).
+/// Host-side parallelism of the real solver (row bands on the pool).
 fn ablate_parallelism(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablate_parallelism");
     for threads in [1usize, 2, 4] {
         group.bench_function(format!("solver_256x256_{threads}thr"), |b| {
-            let pool = rayon::ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .unwrap();
             b.iter(|| {
-                pool.install(|| {
-                    let g = greenness_heatsim::Grid::from_fn(256, 256, |x, y| x * y);
-                    let mut s = greenness_heatsim::HeatSolver::new(
-                        g,
-                        greenness_core::PipelineConfig::default_solver(256, 256),
-                    )
-                    .expect("stable config");
-                    s.run(10);
-                    black_box(s.grid().total())
-                })
+                let g = greenness_heatsim::Grid::from_fn(256, 256, |x, y| x * y);
+                let mut s = greenness_heatsim::HeatSolver::new(
+                    g,
+                    greenness_core::PipelineConfig::default_solver(256, 256),
+                )
+                .expect("stable config");
+                s.set_jobs(threads);
+                s.run(10);
+                black_box(s.grid().total())
             })
         });
     }

@@ -1,26 +1,9 @@
-//! `greenness` — the command-line front end.
-//!
-//! ```text
-//! greenness case <1|2|3>                run one case study, both pipelines
-//! greenness sweep [--jobs N] [--trace J] [--metrics M]
-//!                                       full 3-case grid on the parallel executor
-//! greenness trace summarize <journal>   reconstruct + audit a trace journal
-//! greenness fio [bytes]                 Table III fio matrix (default 4 GiB)
-//! greenness probes                      Table II nnread/nnwrite probes
-//! greenness cluster [--kind K] [...]    case-study grid over the distributed pipelines
-//! greenness cap <watts> [watts...]      power-cap sweep (in-situ)
-//! greenness adaptive [threshold]        adaptive runtime demo
-//! greenness advisor <bytes> <passes> <seq|rand> <explore|no-explore>
-//! greenness serve [--addr A]            NDJSON query server (greenness-serve/v1)
-//! greenness steer [--shards N]          scripted interactive steering session
-//! greenness fleet [--shards N]          sharded fleet router over in-process shards
-//! greenness query <addr> <json>         one request against a running server
-//! greenness bench-serve ...             load harness (closed/open loop, --replay, fleet)
-//! ```
-//!
-//! Everything prints fixed-width tables; see the `repro` binary for the
-//! paper's full table/figure set.
+//! `greenness` — the command-line front end. Run it without arguments for
+//! the command list (the `usage` block below). Everything prints
+//! fixed-width tables; see the `repro` binary for the paper's full
+//! table/figure set.
 
+use greenness_bench::{run_logged, take_flags, FlagError, FlagValues, GridFlags};
 use greenness_cluster::{ClusterKind, StagingConfig, WireCodec};
 use greenness_core::adaptive::{run_adaptive, AdaptivePolicy};
 use greenness_core::advisor::{recommend, IoBehavior, Technique, WorkloadProfile};
@@ -63,8 +46,8 @@ fn usage() -> ! {
          \x20 bench-serve --replay [...]           deterministic in-process replay\n\
          \x20 bench [--reps N] [--quick] [--out F] hot-path micro suite -> BENCH_7.json\n\
          \n\
-         sweep and placement also accept --trace PATH / --metrics PATH (event\n\
-         journal + metrics registry; byte-identical for every --jobs value)\n\
+         sweep, placement, and cluster also accept --trace PATH / --metrics PATH\n\
+         (event journal + metrics registry; byte-identical for every --jobs value)\n\
          serve also accepts --cache-bytes B / --slots S / --queue-depth Q\n\
          fleet also accepts --addr A --ring-seed S --vnodes V --shard-addrs (debug\n\
          listeners) plus the serve tuning flags, applied per shard\n\
@@ -87,33 +70,48 @@ fn parse<T: std::str::FromStr>(s: &str, what: &str) -> T {
     })
 }
 
-fn cmd_case(args: &[String]) {
-    let mut n: u32 = 1;
-    let mut alpha: Option<f64> = None;
-    let mut dt: Option<f64> = None;
-    let mut it = args.iter();
-    let mut saw_n = false;
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--alpha" => alpha = Some(parse(it.next().unwrap_or_else(|| usage()), "alpha")),
-            "--dt" => dt = Some(parse(it.next().unwrap_or_else(|| usage()), "dt")),
-            s if !saw_n => {
-                n = parse(s, "case number");
-                saw_n = true;
-            }
-            _ => usage(),
+/// Split the value flags named in `flags` (`--flag v` or `--flag=v`) out
+/// of `args`; a flag without its value is a usage error.
+fn value_flags(args: &[String], flags: &[&str]) -> (FlagValues, Vec<String>) {
+    take_flags(args, flags).unwrap_or_else(|_| usage())
+}
+
+/// Parse a grid command's arguments: the shared grid flags plus the value
+/// flags in `own`; anything else is a usage error (exit 2).
+fn grid_args(args: &[String], own: &[&str]) -> (GridFlags, FlagValues) {
+    let (flags, rest) = GridFlags::parse(args).unwrap_or_else(|e| match e {
+        FlagError::MissingValue(_) => usage(),
+        FlagError::Invalid(message) => {
+            eprintln!("{message}");
+            std::process::exit(2);
         }
+    });
+    let (taken, rest) = value_flags(&rest, own);
+    if !rest.is_empty() {
+        usage();
     }
+    (flags, taken)
+}
+
+fn cmd_case(args: &[String]) {
+    let (taken, rest) = value_flags(args, &["--alpha", "--dt"]);
+    let n: u32 = match rest.as_slice() {
+        [] => 1,
+        [n] => parse(n, "case number"),
+        _ => usage(),
+    };
     if !(1..=3).contains(&n) {
         eprintln!("case studies are 1-3");
         std::process::exit(2);
     }
     let mut cfg = PipelineConfig::case_study(n);
-    if let Some(a) = alpha {
-        cfg.solver.alpha = a;
-    }
-    if let Some(d) = dt {
-        cfg.solver.dt = d;
+    for (flag, value) in taken {
+        let v = parse(&value, &flag[2..]);
+        if flag == "--alpha" {
+            cfg.solver.alpha = v;
+        } else {
+            cfg.solver.dt = v;
+        }
     }
     if let Err(e) = cfg.solver.validate(cfg.grid_nx, cfg.grid_ny) {
         eprintln!("invalid solver config: {e}");
@@ -159,77 +157,21 @@ fn cmd_case(args: &[String]) {
 }
 
 fn cmd_sweep(args: &[String]) {
-    let mut jobs = greenness_bench::default_jobs();
-    let mut trace_path: Option<String> = None;
-    let mut metrics_path: Option<String> = None;
-    let mut fault_seed: Option<u64> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--jobs" | "-j" => {
-                jobs = it
-                    .next()
-                    .map(|s| parse(s, "worker count"))
-                    .unwrap_or_else(|| usage())
-            }
-            "--trace" => trace_path = Some(it.next().cloned().unwrap_or_else(|| usage())),
-            "--metrics" => metrics_path = Some(it.next().cloned().unwrap_or_else(|| usage())),
-            "--fault-seed" => {
-                fault_seed = Some(
-                    it.next()
-                        .map(|s| parse(s, "fault seed"))
-                        .unwrap_or_else(|| usage()),
-                )
-            }
-            other => {
-                if let Some(n) = other.strip_prefix("--jobs=") {
-                    jobs = parse(n, "worker count");
-                } else if let Some(p) = other.strip_prefix("--trace=") {
-                    trace_path = Some(p.to_string());
-                } else if let Some(p) = other.strip_prefix("--metrics=") {
-                    metrics_path = Some(p.to_string());
-                } else if let Some(n) = other.strip_prefix("--fault-seed=") {
-                    fault_seed = Some(parse(n, "fault seed"));
-                } else {
-                    usage()
-                }
-            }
-        }
-    }
+    let (flags, _) = grid_args(args, &[]);
+    let jobs = flags.jobs;
     let setup = ExperimentSetup {
-        trace: trace_path.is_some() || metrics_path.is_some(),
+        trace: flags.traced(),
         // Each grid job derives its own schedule from this base plan and its
         // job key, so results stay byte-identical for every --jobs value.
-        faults: fault_seed.map(FaultPlan::with_seed),
+        faults: flags.faults(),
         ..ExperimentSetup::default()
     };
     eprintln!("running the full case-study grid on {jobs} worker(s)...");
-    let t0 = std::time::Instant::now();
-    let results = greenness_bench::run_case_grid(&setup, jobs, &|done, total, key| {
-        eprintln!("[sweep] {done}/{total} done: {key}");
-    })
-    .unwrap_or_else(|e| {
-        eprintln!("case-study grid failed: {e}");
-        std::process::exit(1);
+    let results = run_logged("", "sweep", "case-study grid", |on_done| {
+        sweep::run_sweep(sweep::case_grid(&setup, &[1, 2, 3]), jobs, on_done)
     });
-    eprintln!(
-        "grid finished in {:.2} s host wall-clock",
-        t0.elapsed().as_secs_f64()
-    );
-    std::fs::create_dir_all("repro_out").expect("create ./repro_out");
-    std::fs::write("repro_out/manifest.json", sweep::manifest_json(&results))
-        .expect("write manifest");
-    eprintln!("wrote repro_out/manifest.json");
-    if let Some(path) = &trace_path {
-        let journal = sweep::sweep_journal(&results).expect("grid ran traced");
-        std::fs::write(path, journal).expect("write trace journal");
-        eprintln!("wrote {path}");
-    }
-    if let Some(path) = &metrics_path {
-        let metrics = sweep::sweep_metrics_json(&results).expect("grid ran traced");
-        std::fs::write(path, metrics).expect("write metrics registry");
-        eprintln!("wrote {path}");
-    }
+    let manifest = sweep::manifest_json(&results);
+    flags.write_outputs("", "repro_out/manifest.json", &manifest, &results);
     let mut rows = Vec::new();
     for c in sweep::comparisons(&results) {
         rows.push(vec![
@@ -257,97 +199,30 @@ fn cmd_sweep(args: &[String]) {
 }
 
 fn cmd_placement(args: &[String]) {
-    let mut jobs = greenness_bench::default_jobs();
-    let mut trace_path: Option<String> = None;
-    let mut metrics_path: Option<String> = None;
-    let mut fault_seed: Option<u64> = None;
+    let (flags, taken) = grid_args(args, &["--scale"]);
+    let jobs = flags.jobs;
     let mut scale = placement::PlacementScale::Small;
-    let parse_scale = |s: &str| {
-        placement::PlacementScale::parse(s).unwrap_or_else(|| {
+    for (_, s) in taken {
+        scale = placement::PlacementScale::parse(&s).unwrap_or_else(|| {
             eprintln!("invalid scale: {s} (small|paper)");
             std::process::exit(2);
-        })
-    };
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--jobs" | "-j" => {
-                jobs = it
-                    .next()
-                    .map(|s| parse(s, "worker count"))
-                    .unwrap_or_else(|| usage())
-            }
-            "--trace" => trace_path = Some(it.next().cloned().unwrap_or_else(|| usage())),
-            "--metrics" => metrics_path = Some(it.next().cloned().unwrap_or_else(|| usage())),
-            "--fault-seed" => {
-                fault_seed = Some(
-                    it.next()
-                        .map(|s| parse(s, "fault seed"))
-                        .unwrap_or_else(|| usage()),
-                )
-            }
-            "--scale" => scale = parse_scale(it.next().unwrap_or_else(|| usage())),
-            other => {
-                if let Some(n) = other.strip_prefix("--jobs=") {
-                    jobs = parse(n, "worker count");
-                } else if let Some(p) = other.strip_prefix("--trace=") {
-                    trace_path = Some(p.to_string());
-                } else if let Some(p) = other.strip_prefix("--metrics=") {
-                    metrics_path = Some(p.to_string());
-                } else if let Some(n) = other.strip_prefix("--fault-seed=") {
-                    fault_seed = Some(parse(n, "fault seed"));
-                } else if let Some(s) = other.strip_prefix("--scale=") {
-                    scale = parse_scale(s);
-                } else {
-                    usage()
-                }
-            }
-        }
+        });
     }
     let setup = placement::PlacementSetup {
         scale,
-        trace: trace_path.is_some() || metrics_path.is_some(),
-        faults: fault_seed.map(FaultPlan::with_seed),
+        trace: flags.traced(),
+        faults: flags.faults(),
         ..placement::PlacementSetup::default()
     };
     eprintln!(
         "running the placement grid ({} scale) on {jobs} worker(s)...",
         scale.label()
     );
-    let t0 = std::time::Instant::now();
-    let results = placement::run_placement(
-        placement::placement_grid(),
-        &setup,
-        jobs,
-        &|done, total, key| {
-            eprintln!("[placement] {done}/{total} done: {key}");
-        },
-    )
-    .unwrap_or_else(|e| {
-        eprintln!("placement grid failed: {e}");
-        std::process::exit(1);
+    let results = run_logged("", "placement", "placement grid", |on_done| {
+        placement::run_placement(placement::placement_grid(), &setup, jobs, on_done)
     });
-    eprintln!(
-        "grid finished in {:.2} s host wall-clock",
-        t0.elapsed().as_secs_f64()
-    );
-    std::fs::create_dir_all("repro_out").expect("create ./repro_out");
-    std::fs::write(
-        "repro_out/placement.json",
-        placement::placement_manifest_json(scale, &results),
-    )
-    .expect("write placement manifest");
-    eprintln!("wrote repro_out/placement.json");
-    if let Some(path) = &trace_path {
-        let journal = placement::placement_journal(&results).expect("grid ran traced");
-        std::fs::write(path, journal).expect("write trace journal");
-        eprintln!("wrote {path}");
-    }
-    if let Some(path) = &metrics_path {
-        let metrics = placement::placement_metrics_json(&results).expect("grid ran traced");
-        std::fs::write(path, metrics).expect("write metrics registry");
-        eprintln!("wrote {path}");
-    }
+    let manifest = placement::placement_manifest_json(scale, &results);
+    flags.write_outputs("", "repro_out/placement.json", &manifest, &results);
     let mut rows = Vec::new();
     for r in &results {
         rows.push(vec![
@@ -459,85 +334,33 @@ fn cmd_probes() {
 }
 
 fn cmd_cluster(args: &[String]) {
-    let mut jobs = greenness_bench::default_jobs();
-    let mut trace_path: Option<String> = None;
-    let mut metrics_path: Option<String> = None;
-    let mut fault_seed: Option<u64> = None;
+    let own = ["--kind", "--staging-nodes", "--queue-depth", "--wire-codec"];
+    let (flags, taken) = grid_args(args, &own);
+    let jobs = flags.jobs;
     let mut kind: Option<ClusterKind> = None;
     let mut staging = StagingConfig::default();
-    let parse_kind = |s: &str| {
-        ClusterKind::parse(s).unwrap_or_else(|| {
-            eprintln!("invalid kind: {s} (post|insitu|intransit)");
-            std::process::exit(2);
-        })
-    };
-    let parse_codec = |s: &str| {
-        WireCodec::parse(s).unwrap_or_else(|| {
-            eprintln!("invalid wire codec: {s} (none|delta-rle|quant8)");
-            std::process::exit(2);
-        })
-    };
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--jobs" | "-j" => {
-                jobs = it
-                    .next()
-                    .map(|s| parse(s, "worker count"))
-                    .unwrap_or_else(|| usage())
+    for (flag, value) in taken {
+        match flag.as_str() {
+            "--kind" => {
+                kind = Some(ClusterKind::parse(&value).unwrap_or_else(|| {
+                    eprintln!("invalid kind: {value} (post|insitu|intransit)");
+                    std::process::exit(2);
+                }))
             }
-            "--trace" => trace_path = Some(it.next().cloned().unwrap_or_else(|| usage())),
-            "--metrics" => metrics_path = Some(it.next().cloned().unwrap_or_else(|| usage())),
-            "--fault-seed" => {
-                fault_seed = Some(
-                    it.next()
-                        .map(|s| parse(s, "fault seed"))
-                        .unwrap_or_else(|| usage()),
-                )
-            }
-            "--kind" => kind = Some(parse_kind(it.next().unwrap_or_else(|| usage()))),
-            "--staging-nodes" => {
-                staging.staging_nodes = it
-                    .next()
-                    .map(|s| parse(s, "staging node count"))
-                    .unwrap_or_else(|| usage())
-            }
-            "--queue-depth" => {
-                staging.queue_depth = it
-                    .next()
-                    .map(|s| parse(s, "queue depth"))
-                    .unwrap_or_else(|| usage())
-            }
-            "--wire-codec" => {
-                staging.wire_codec = parse_codec(it.next().unwrap_or_else(|| usage()))
-            }
-            other => {
-                if let Some(n) = other.strip_prefix("--jobs=") {
-                    jobs = parse(n, "worker count");
-                } else if let Some(p) = other.strip_prefix("--trace=") {
-                    trace_path = Some(p.to_string());
-                } else if let Some(p) = other.strip_prefix("--metrics=") {
-                    metrics_path = Some(p.to_string());
-                } else if let Some(n) = other.strip_prefix("--fault-seed=") {
-                    fault_seed = Some(parse(n, "fault seed"));
-                } else if let Some(k) = other.strip_prefix("--kind=") {
-                    kind = Some(parse_kind(k));
-                } else if let Some(n) = other.strip_prefix("--staging-nodes=") {
-                    staging.staging_nodes = parse(n, "staging node count");
-                } else if let Some(n) = other.strip_prefix("--queue-depth=") {
-                    staging.queue_depth = parse(n, "queue depth");
-                } else if let Some(c) = other.strip_prefix("--wire-codec=") {
-                    staging.wire_codec = parse_codec(c);
-                } else {
-                    usage()
-                }
+            "--staging-nodes" => staging.staging_nodes = parse(&value, "staging node count"),
+            "--queue-depth" => staging.queue_depth = parse(&value, "queue depth"),
+            _ => {
+                staging.wire_codec = WireCodec::parse(&value).unwrap_or_else(|| {
+                    eprintln!("invalid wire codec: {value} (none|delta-rle|quant8)");
+                    std::process::exit(2);
+                })
             }
         }
     }
     let setup = cluster_sweep::ClusterSetup {
         staging,
-        faults: fault_seed.map(FaultPlan::with_seed),
-        trace: trace_path.is_some() || metrics_path.is_some(),
+        faults: flags.faults(),
+        trace: flags.traced(),
     };
     let grid = cluster_sweep::cluster_jobs(kind);
     eprintln!(
@@ -548,35 +371,11 @@ fn cmd_cluster(args: &[String]) {
         staging.queue_depth,
         staging.wire_codec.label()
     );
-    let t0 = std::time::Instant::now();
-    let results = cluster_sweep::run_cluster_sweep(grid, &setup, jobs, &|done, total, key| {
-        eprintln!("[cluster] {done}/{total} done: {key}");
-    })
-    .unwrap_or_else(|e| {
-        eprintln!("cluster grid failed: {e}");
-        std::process::exit(1);
+    let results = run_logged("", "cluster", "cluster grid", |on_done| {
+        cluster_sweep::run_cluster_sweep(grid, &setup, jobs, on_done)
     });
-    eprintln!(
-        "grid finished in {:.2} s host wall-clock",
-        t0.elapsed().as_secs_f64()
-    );
-    std::fs::create_dir_all("repro_out").expect("create ./repro_out");
-    std::fs::write(
-        "repro_out/cluster.json",
-        cluster_sweep::cluster_manifest_json(&setup, &results),
-    )
-    .expect("write cluster manifest");
-    eprintln!("wrote repro_out/cluster.json");
-    if let Some(path) = &trace_path {
-        let journal = cluster_sweep::cluster_journal(&results).expect("grid ran traced");
-        std::fs::write(path, journal).expect("write trace journal");
-        eprintln!("wrote {path}");
-    }
-    if let Some(path) = &metrics_path {
-        let metrics = cluster_sweep::cluster_metrics_json(&results).expect("grid ran traced");
-        std::fs::write(path, metrics).expect("write metrics registry");
-        eprintln!("wrote {path}");
-    }
+    let manifest = cluster_sweep::cluster_manifest_json(&setup, &results);
+    flags.write_outputs("", "repro_out/cluster.json", &manifest, &results);
     let mut rows = Vec::new();
     for r in &results {
         if r.summary.total_faults() > 0 {

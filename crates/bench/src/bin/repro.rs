@@ -28,7 +28,7 @@
 
 use std::collections::BTreeSet;
 
-use greenness_bench::default_jobs;
+use greenness_bench::{parse_value, run_logged, take_flags, GridFlags};
 use greenness_core::breakdown::CaseBreakdown;
 use greenness_core::sweep::{self, SweepJob};
 use greenness_core::whatif::WhatIfAnalysis;
@@ -57,11 +57,8 @@ const ARTIFACTS: &[&str] = &[
 
 struct Lazy {
     setup: ExperimentSetup,
-    jobs: usize,
-    alpha: Option<f64>,
-    dt: Option<f64>,
-    trace_path: Option<String>,
-    metrics_path: Option<String>,
+    flags: GridFlags,
+    configs: Vec<(u32, PipelineConfig)>,
     cases: Option<Vec<CaseComparison>>,
     nnprobes: Option<(probes::ProbeResult, probes::ProbeResult)>,
 }
@@ -71,44 +68,17 @@ impl Lazy {
         if self.cases.is_none() {
             eprintln!(
                 "[repro] running all case studies (both pipelines x 3) on {} worker(s)...",
-                self.jobs
+                self.flags.jobs
             );
-            let t0 = std::time::Instant::now();
-            let mut grid = sweep::case_grid(&self.setup, &[1, 2, 3]);
-            for job in &mut grid {
-                if let Some(a) = self.alpha {
-                    job.cfg.solver.alpha = a;
-                }
-                if let Some(d) = self.dt {
-                    job.cfg.solver.dt = d;
-                }
-            }
-            let results = sweep::run_sweep(grid, self.jobs, &|done, total, key| {
-                eprintln!("[sweep] {done}/{total} done: {key}");
-            })
-            .unwrap_or_else(|e| {
-                eprintln!("[repro] case-study grid failed: {e}");
-                std::process::exit(1);
+            let grid = sweep::config_grid(&self.setup, &self.configs);
+            let jobs = self.flags.jobs;
+            let results = run_logged("[repro] ", "sweep", "case-study grid", |on_done| {
+                sweep::run_sweep(grid, jobs, on_done)
             });
-            eprintln!(
-                "[repro] grid finished in {:.2} s host wall-clock ({} jobs, {} workers)",
-                t0.elapsed().as_secs_f64(),
-                results.len(),
-                self.jobs
-            );
             let manifest = sweep::manifest_json(&results);
-            std::fs::write("repro_out/manifest.json", manifest).expect("write manifest");
-            eprintln!("[repro] wrote repro_out/manifest.json");
-            if let Some(path) = &self.trace_path {
-                let journal = sweep::sweep_journal(&results).expect("grid ran traced");
-                std::fs::write(path, journal).expect("write trace journal");
-                eprintln!("[repro] wrote {path}");
-            }
-            if let Some(path) = &self.metrics_path {
-                let metrics = sweep::sweep_metrics_json(&results).expect("grid ran traced");
-                std::fs::write(path, metrics).expect("write metrics registry");
-                eprintln!("[repro] wrote {path}");
-            }
+            let path = "repro_out/manifest.json";
+            self.flags
+                .write_outputs("[repro] ", path, &manifest, &results);
             self.cases = Some(sweep::comparisons(&results));
         }
         self.cases.as_ref().expect("just computed")
@@ -168,114 +138,63 @@ fn emit_pair_table(
 
 /// Parsed command-line options.
 struct Cli {
-    jobs: usize,
-    alpha: Option<f64>,
-    dt: Option<f64>,
-    trace_path: Option<String>,
-    metrics_path: Option<String>,
-    fault_seed: Option<u64>,
+    flags: GridFlags,
+    /// The three case-study configs, `--alpha`/`--dt` overrides applied.
+    configs: Vec<(u32, PipelineConfig)>,
     rest: Vec<String>,
 }
 
-/// Split `--jobs N` / `--jobs=N` / `-j N`, the observability flags
-/// `--trace PATH` / `--metrics PATH`, and `--fault-seed N` out of the raw
-/// argument list.
-fn parse_cli(args: Vec<String>) -> Cli {
-    fn count(s: &str) -> usize {
-        s.parse().unwrap_or_else(|_| {
-            eprintln!("invalid worker count: {s}");
-            std::process::exit(2);
-        })
-    }
-    fn seed(s: &str) -> u64 {
-        s.parse().unwrap_or_else(|_| {
-            eprintln!("invalid fault seed: {s}");
-            std::process::exit(2);
-        })
-    }
-    fn solver_param(s: &str, what: &str) -> f64 {
-        s.parse().unwrap_or_else(|_| {
-            eprintln!("invalid {what}: {s}");
-            std::process::exit(2);
-        })
-    }
-    let mut cli = Cli {
-        jobs: default_jobs(),
-        alpha: None,
-        dt: None,
-        trace_path: None,
-        metrics_path: None,
-        fault_seed: None,
-        rest: Vec::new(),
-    };
-    let mut it = args.into_iter();
-    while let Some(a) = it.next() {
-        let mut value = |flag: &str| {
-            it.next().unwrap_or_else(|| {
-                eprintln!("{flag} needs a value");
-                std::process::exit(2);
-            })
-        };
-        if a == "--jobs" || a == "-j" {
-            cli.jobs = count(&value(&a));
-        } else if let Some(n) = a.strip_prefix("--jobs=") {
-            cli.jobs = count(n);
-        } else if a == "--trace" {
-            cli.trace_path = Some(value(&a));
-        } else if let Some(p) = a.strip_prefix("--trace=") {
-            cli.trace_path = Some(p.to_string());
-        } else if a == "--metrics" {
-            cli.metrics_path = Some(value(&a));
-        } else if let Some(p) = a.strip_prefix("--metrics=") {
-            cli.metrics_path = Some(p.to_string());
-        } else if a == "--fault-seed" {
-            cli.fault_seed = Some(seed(&value(&a)));
-        } else if let Some(n) = a.strip_prefix("--fault-seed=") {
-            cli.fault_seed = Some(seed(n));
-        } else if a == "--alpha" {
-            cli.alpha = Some(solver_param(&value(&a), "alpha"));
-        } else if let Some(v) = a.strip_prefix("--alpha=") {
-            cli.alpha = Some(solver_param(v, "alpha"));
-        } else if a == "--dt" {
-            cli.dt = Some(solver_param(&value(&a), "dt"));
-        } else if let Some(v) = a.strip_prefix("--dt=") {
-            cli.dt = Some(solver_param(v, "dt"));
-        } else {
-            cli.rest.push(a);
+/// Split the shared grid flags (`--jobs`/`-j`, `--trace`, `--metrics`,
+/// `--fault-seed`) and the solver overrides `--alpha A` / `--dt D` out of
+/// the raw argument list; what remains names artifacts.
+fn parse_cli(args: &[String]) -> Cli {
+    let parsed = GridFlags::parse(args).and_then(|(flags, rest)| {
+        let (taken, rest) = take_flags(&rest, &["--alpha", "--dt"])?;
+        let mut configs: Vec<_> = [1, 2, 3].map(|n| (n, PipelineConfig::case_study(n))).into();
+        for (flag, value) in taken {
+            let v = parse_value(&value, &flag[2..])?;
+            for (_, cfg) in &mut configs {
+                if flag == "--alpha" {
+                    cfg.solver.alpha = v;
+                } else {
+                    cfg.solver.dt = v;
+                }
+            }
         }
-    }
-    cli.jobs = cli.jobs.max(1);
+        Ok(Cli {
+            flags,
+            configs,
+            rest,
+        })
+    });
+    let mut cli = parsed.unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
+    });
+    cli.flags.jobs = cli.flags.jobs.max(1);
     cli
 }
 
 fn main() {
-    let cli = parse_cli(std::env::args().skip(1).collect());
-    // Solver overrides are usage input: validate them against every case
-    // config up front so a bad --alpha/--dt exits 2 before any work runs.
-    if cli.alpha.is_some() || cli.dt.is_some() {
-        for n in [1, 2, 3] {
-            let mut cfg = PipelineConfig::case_study(n);
-            if let Some(a) = cli.alpha {
-                cfg.solver.alpha = a;
-            }
-            if let Some(d) = cli.dt {
-                cfg.solver.dt = d;
-            }
-            if let Err(e) = cfg.solver.validate(cfg.grid_nx, cfg.grid_ny) {
-                eprintln!("invalid solver config for case {n}: {e}");
-                std::process::exit(2);
-            }
+    let cli = parse_cli(&std::env::args().skip(1).collect::<Vec<_>>());
+    // Solver overrides are usage input: validate every case config up
+    // front so a bad --alpha/--dt exits 2 before any work runs.
+    for (n, cfg) in &cli.configs {
+        if let Err(e) = cfg.solver.validate(cfg.grid_nx, cfg.grid_ny) {
+            eprintln!("invalid solver config for case {n}: {e}");
+            std::process::exit(2);
         }
     }
-    let (jobs, args) = (cli.jobs, cli.rest);
+    let (jobs, args) = (cli.flags.jobs, cli.rest);
     let wanted: BTreeSet<String> = if args.is_empty() || args.iter().any(|a| a == "all") {
         ARTIFACTS.iter().map(|s| s.to_string()).collect()
     } else {
-        for a in &args {
-            assert!(
-                ARTIFACTS.contains(&a.as_str()),
-                "unknown artifact '{a}'; available: {ARTIFACTS:?}"
+        if let Some(bad) = args.iter().find(|a| !ARTIFACTS.contains(&a.as_str())) {
+            eprintln!(
+                "unknown artifact '{bad}'; available: {}",
+                ARTIFACTS.join(" ")
             );
+            std::process::exit(2);
         }
         args.into_iter().collect()
     };
@@ -283,20 +202,17 @@ fn main() {
     // registry for every grid job (deterministic: byte-identical output
     // for every --jobs value).
     let setup = ExperimentSetup {
-        trace: cli.trace_path.is_some() || cli.metrics_path.is_some(),
+        trace: cli.flags.traced(),
         // Seeded fault injection: each grid job derives its own fault
         // schedule from this base plan and its job key, so artifacts stay
         // byte-identical for every --jobs value.
-        faults: cli.fault_seed.map(greenness_faults::FaultPlan::with_seed),
+        faults: cli.flags.faults(),
         ..ExperimentSetup::default()
     };
     let mut lazy = Lazy {
         setup,
-        jobs,
-        alpha: cli.alpha,
-        dt: cli.dt,
-        trace_path: cli.trace_path,
-        metrics_path: cli.metrics_path,
+        flags: cli.flags,
+        configs: cli.configs,
         cases: None,
         nnprobes: None,
     };
@@ -628,12 +544,8 @@ fn print_extensions(setup: &ExperimentSetup, jobs: usize) {
             })
         })
         .collect();
-    let results = sweep::run_sweep(grid, jobs, &|done, total, key| {
-        eprintln!("[sweep] {done}/{total} done: {key}");
-    })
-    .unwrap_or_else(|e| {
-        eprintln!("[repro] storage-technology grid failed: {e}");
-        std::process::exit(1);
+    let results = run_logged("[repro] ", "sweep", "storage-technology grid", |on_done| {
+        sweep::run_sweep(grid, jobs, on_done)
     });
     let mut rows = Vec::new();
     for (spec, cmp) in specs.iter().zip(sweep::comparisons(&results)) {

@@ -36,7 +36,6 @@ use greenness_platform::{HardwareSpec, NetModel, Node, Phase, SimTime};
 use greenness_trace::hash::checksum64;
 use greenness_trace::{Tracer, Value};
 use greenness_viz::{encode_ppm, render_field, RenderCostModel, RenderOptions};
-use serde::{Deserialize, Serialize};
 
 use crate::error::{ClusterError, FaultSummary};
 use crate::fabric::{barrier, sync_to, Fabric};
@@ -44,7 +43,7 @@ use crate::pfs::ParallelFs;
 use crate::slab::DecomposedSolver;
 
 /// Which distributed pipeline to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ClusterKind {
     /// Write raw slabs to the PFS; visualize later on a viz node.
     PostProcessing,
@@ -76,7 +75,7 @@ impl ClusterKind {
 }
 
 /// Compression applied to staged slabs on the fabric (in-transit only).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum WireCodec {
     /// Raw little-endian f64 slabs on the wire.
     None,
@@ -125,7 +124,7 @@ impl WireCodec {
 }
 
 /// In-transit staging topology and flow control.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StagingConfig {
     /// Dedicated staging nodes; frames are distributed round-robin.
     pub staging_nodes: usize,
@@ -288,7 +287,7 @@ fn default_solver(nx: usize, ny: usize) -> SolverConfig {
 }
 
 /// Results of one distributed run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ClusterReport {
     /// Which pipeline ran.
     pub kind: ClusterKind,

@@ -14,15 +14,16 @@
 //! journal, and metrics are byte-identical for any `--jobs` value and
 //! across repeated runs with the same `--fault-seed`.
 
+use std::convert::Infallible;
+
 use greenness_cluster::{
     run_cluster_traced, ClusterConfig, ClusterKind, ClusterReport, FaultSummary, StagingConfig,
 };
 use greenness_faults::FaultPlan;
 use greenness_platform::SimTime;
-use greenness_pool::run_pool;
-use greenness_trace::{escape_json, MetricsRegistry, Tracer, Value};
+use greenness_trace::{MetricsRegistry, Tracer, Value};
 
-use crate::sweep::{Progress, SweepError};
+use crate::grid::{self, quoted, run_grid, GridResult, Progress, SweepError};
 
 /// The paper's case-study numbers, grid order.
 pub const CASES: [u32; 3] = [1, 2, 3];
@@ -98,6 +99,28 @@ pub struct ClusterJobResult {
     pub trace_metrics: Option<MetricsRegistry>,
 }
 
+impl GridResult for ClusterJobResult {
+    fn id(&self) -> usize {
+        self.id
+    }
+    fn key(&self) -> &str {
+        &self.key
+    }
+    /// The cluster grid's `job` begin event carries no seed.
+    fn seed(&self) -> Option<u64> {
+        None
+    }
+    fn journal(&self) -> Option<&str> {
+        self.journal.as_deref()
+    }
+    fn end_ns(&self) -> u64 {
+        self.end_ns
+    }
+    fn metrics(&self) -> Option<&MetricsRegistry> {
+        self.trace_metrics.as_ref()
+    }
+}
+
 /// Execute one cell on a fresh virtual cluster.
 fn execute(job: ClusterJob, setup: &ClusterSetup) -> ClusterJobResult {
     let key = job.key();
@@ -121,18 +144,10 @@ fn execute(job: ClusterJob, setup: &ClusterSetup) -> ClusterJobResult {
     let (report, summary) = run_cluster_traced(job.kind, &cfg, plan, &tracer)
         .expect("case-study cluster runs complete under plan-rate faults");
     let end_ns = SimTime::from_secs_f64(report.makespan_s).as_nanos();
-    let (journal, trace_metrics) = if tracer.is_on() {
-        tracer.gauge("run.end_s", report.makespan_s);
-        tracer.gauge("energy.system_j", report.total_energy_j);
-        tracer.snapshot("run");
-        tracer.end(end_ns, "run", Vec::new());
-        let out = tracer.drain().expect("tracer is on");
-        (Some(out.journal), Some(out.metrics))
-    } else {
-        (None, None)
-    };
+    let (journal, trace_metrics) =
+        grid::close_run(&tracer, end_ns, report.makespan_s, report.total_energy_j);
     ClusterJobResult {
-        id: 0, // assigned by the collector
+        id: 0, // set from the submission index once the grid returns
         key,
         case: job.case,
         kind: job.kind.label(),
@@ -144,8 +159,8 @@ fn execute(job: ClusterJob, setup: &ClusterSetup) -> ClusterJobResult {
     }
 }
 
-/// Run the cluster grid on `workers` threads; results come back in
-/// submission order regardless of scheduling.
+/// Run the cluster grid on `workers` threads under the
+/// [`grid`](crate::grid) contract; results come back in submission order.
 ///
 /// # Errors
 /// [`SweepError::DuplicateKey`] when two jobs share a key;
@@ -156,168 +171,65 @@ pub fn run_cluster_sweep(
     workers: usize,
     on_done: Progress<'_>,
 ) -> Result<Vec<ClusterJobResult>, SweepError> {
-    let total = jobs.len();
-    if total == 0 {
-        return Ok(Vec::new());
+    let mut results = run_grid(&jobs, workers, on_done, ClusterJob::key, |job| {
+        Ok::<_, Infallible>(execute(*job, setup))
+    })?;
+    for (id, r) in results.iter_mut().enumerate() {
+        r.id = id;
     }
-    {
-        let mut keys: Vec<String> = jobs.iter().map(ClusterJob::key).collect();
-        keys.sort();
-        for pair in keys.windows(2) {
-            if pair[0] == pair[1] {
-                return Err(SweepError::DuplicateKey {
-                    key: pair[0].clone(),
-                });
-            }
-        }
-    }
-    let mut slots: Vec<Option<ClusterJobResult>> = (0..total).map(|_| None).collect();
-    let mut failures: Vec<(usize, String)> = Vec::new();
-    let mut finished = 0usize;
-    run_pool(
-        total,
-        workers,
-        &|idx| execute(jobs[idx], setup),
-        &mut |idx, outcome| match outcome {
-            Ok(mut result) => {
-                finished += 1;
-                on_done(finished, total, &jobs[idx].key());
-                result.id = idx;
-                slots[idx] = Some(result);
-            }
-            Err(message) => failures.push((idx, message)),
-        },
-    );
-    if let Some((id, message)) = failures.into_iter().min_by_key(|(id, _)| *id) {
-        return Err(SweepError::JobPanicked {
-            id,
-            key: jobs[id].key(),
-            message,
-        });
-    }
-    slots
-        .into_iter()
-        .enumerate()
-        .map(|(i, slot)| {
-            slot.ok_or_else(|| SweepError::JobLost {
-                id: i,
-                key: jobs[i].key(),
-            })
-        })
-        .collect()
-}
-
-/// Assemble the cluster-sweep journal: schema header, then each traced
-/// job's journal in a `job` span, job-id order — byte-identical across
-/// worker counts. `None` when no job was traced.
-pub fn cluster_journal(results: &[ClusterJobResult]) -> Option<String> {
-    if results.iter().all(|r| r.journal.is_none()) {
-        return None;
-    }
-    let mut s = greenness_trace::journal_header();
-    for r in results {
-        let Some(journal) = &r.journal else {
-            continue;
-        };
-        s.push_str(&format!(
-            "{{\"t_ns\":0,\"ev\":\"begin\",\"name\":\"job\",\"job\":{},\"key\":\"{}\"}}\n",
-            r.id,
-            escape_json(&r.key)
-        ));
-        s.push_str(journal);
-        s.push_str(&format!(
-            "{{\"t_ns\":{},\"ev\":\"end\",\"name\":\"job\",\"job\":{}}}\n",
-            r.end_ns, r.id
-        ));
-    }
-    Some(s)
-}
-
-/// Render the cluster metrics file (`greenness-metrics/v1`): one labeled
-/// registry per traced job, job-id order. `None` when no job was traced.
-pub fn cluster_metrics_json(results: &[ClusterJobResult]) -> Option<String> {
-    let entries: Vec<(String, MetricsRegistry)> = results
-        .iter()
-        .filter_map(|r| r.trace_metrics.clone().map(|m| (r.key.clone(), m)))
-        .collect();
-    if entries.is_empty() {
-        None
-    } else {
-        Some(greenness_trace::metrics_file_json(&entries))
-    }
+    Ok(results)
 }
 
 /// Render the structured cluster manifest (`repro_out/cluster.json`) — a
 /// pure function of the setup and results.
 pub fn cluster_manifest_json(setup: &ClusterSetup, results: &[ClusterJobResult]) -> String {
-    let mut s = String::with_capacity(1024 + 640 * results.len());
-    s.push_str("{\n  \"schema\": \"greenness-cluster-manifest/v1\",\n");
-    s.push_str(&format!(
-        "  \"staging_nodes\": {},\n  \"queue_depth\": {},\n  \"wire_codec\": \"{}\",\n",
-        setup.staging.staging_nodes,
-        setup.staging.queue_depth,
-        setup.staging.wire_codec.label()
-    ));
-    match setup.faults {
-        Some(plan) => s.push_str(&format!("  \"fault_seed\": {},\n", plan.seed)),
-        None => s.push_str("  \"fault_seed\": null,\n"),
-    }
-    s.push_str("  \"jobs\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        let rep = &r.report;
-        s.push_str("    {\n");
-        s.push_str(&format!("      \"id\": {},\n", r.id));
-        s.push_str(&format!("      \"key\": \"{}\",\n", escape_json(&r.key)));
-        s.push_str(&format!("      \"case\": {},\n", r.case));
-        s.push_str(&format!("      \"kind\": \"{}\",\n", r.kind));
-        s.push_str(&format!("      \"makespan_s\": {:?},\n", rep.makespan_s));
-        s.push_str(&format!(
-            "      \"total_energy_j\": {:?},\n",
-            rep.total_energy_j
-        ));
-        s.push_str(&format!(
-            "      \"avg_power_w\": {:?},\n",
-            rep.average_power_w
-        ));
-        s.push_str(&format!(
-            "      \"compute_energy_j\": {:?},\n",
-            rep.compute_energy_j
-        ));
-        s.push_str(&format!("      \"io_energy_j\": {:?},\n", rep.io_energy_j));
-        s.push_str(&format!(
-            "      \"viz_energy_j\": {:?},\n",
-            rep.viz_energy_j
-        ));
-        s.push_str(&format!(
-            "      \"fabric_bytes\": {},\n      \"pfs_bytes\": {},\n      \"bytes_out\": {},\n",
-            rep.fabric_bytes, rep.pfs_bytes, rep.bytes_out
-        ));
-        s.push_str(&format!(
-            "      \"staging_raw_bytes\": {},\n",
-            rep.staging_raw_bytes
-        ));
-        s.push_str(&format!("      \"image_hash\": {},\n", rep.image_hash));
-        s.push_str(&format!("      \"verified\": {},\n", rep.verified));
-        s.push_str(&format!(
-            "      \"faults\": {{\"total\": {}, \"storage\": {}, \"fabric_drops\": {}, \
-             \"fabric_delays\": {}, \"torn_renders\": {}, \"storage_retries\": {}, \
-             \"fabric_retries\": {}}}\n",
-            r.summary.total_faults(),
-            r.summary.storage_faults,
-            r.summary.fabric_drops,
-            r.summary.fabric_delays,
-            r.summary.staging_torn_renders,
-            r.summary.storage_retries,
-            r.summary.fabric_retries
-        ));
-        s.push_str(if i + 1 == results.len() {
-            "    }\n"
-        } else {
-            "    },\n"
-        });
-    }
-    s.push_str("  ]\n}\n");
-    s
+    let header = [
+        ("staging_nodes", setup.staging.staging_nodes.to_string()),
+        ("queue_depth", setup.staging.queue_depth.to_string()),
+        ("wire_codec", quoted(setup.staging.wire_codec.label())),
+        (
+            "fault_seed",
+            setup
+                .faults
+                .map_or_else(|| "null".to_string(), |plan| plan.seed.to_string()),
+        ),
+    ];
+    grid::manifest_json("greenness-cluster-manifest/v1", &header, results, |r| {
+        let (rep, f) = (&r.report, &r.summary);
+        vec![
+            ("id", r.id.to_string()),
+            ("key", quoted(&r.key)),
+            ("case", r.case.to_string()),
+            ("kind", quoted(r.kind)),
+            ("makespan_s", format!("{:?}", rep.makespan_s)),
+            ("total_energy_j", format!("{:?}", rep.total_energy_j)),
+            ("avg_power_w", format!("{:?}", rep.average_power_w)),
+            ("compute_energy_j", format!("{:?}", rep.compute_energy_j)),
+            ("io_energy_j", format!("{:?}", rep.io_energy_j)),
+            ("viz_energy_j", format!("{:?}", rep.viz_energy_j)),
+            ("fabric_bytes", rep.fabric_bytes.to_string()),
+            ("pfs_bytes", rep.pfs_bytes.to_string()),
+            ("bytes_out", rep.bytes_out.to_string()),
+            ("staging_raw_bytes", rep.staging_raw_bytes.to_string()),
+            ("image_hash", rep.image_hash.to_string()),
+            ("verified", rep.verified.to_string()),
+            (
+                "faults",
+                format!(
+                    "{{\"total\": {}, \"storage\": {}, \"fabric_drops\": {}, \
+                     \"fabric_delays\": {}, \"torn_renders\": {}, \"storage_retries\": {}, \
+                     \"fabric_retries\": {}}}",
+                    f.total_faults(),
+                    f.storage_faults,
+                    f.fabric_drops,
+                    f.fabric_delays,
+                    f.staging_torn_renders,
+                    f.storage_retries,
+                    f.fabric_retries
+                ),
+            ),
+        ]
+    })
 }
 
 #[cfg(test)]

@@ -155,15 +155,13 @@ pub fn run(
     if tracer.is_on() {
         tracer.end(end_ns, "measure", Vec::new());
         dump_timeline(&tracer, &timeline, end_ns);
-        tracer.gauge("run.end_s", timeline.end().as_secs_f64());
-        tracer.gauge("energy.system_j", timeline.total_energy_j());
-        tracer.snapshot("run");
-        tracer.end(end_ns, "run", Vec::new());
     }
-    let (journal, trace_metrics) = match tracer.drain() {
-        Some(out) => (Some(out.journal), Some(out.metrics)),
-        None => (None, None),
-    };
+    let (journal, trace_metrics) = crate::grid::close_run(
+        &tracer,
+        end_ns,
+        timeline.end().as_secs_f64(),
+        timeline.total_energy_j(),
+    );
     Ok(PipelineReport {
         kind,
         config_label: cfg.label.clone(),

@@ -20,9 +20,11 @@
 //! * [`probes`] — the isolated `nnread`/`nnwrite` stages of Figure 6 /
 //!   Table II.
 //! * [`compare`] — head-to-head comparison (Figures 7–11).
-//! * [`sweep`] — deterministic parallel executor for the experiment grid:
-//!   a work-stealing `std::thread` pool whose per-job RNG seeds derive from
-//!   job keys, so results are bit-identical for any worker count.
+//! * [`grid`] — the one grid runner: runs any job list on the shared
+//!   work-stealing pool in submission order, and assembles the trace
+//!   journal, metrics file and manifest framing every grid emits.
+//! * [`sweep`] — the pipeline experiment grid on [`grid`]: per-job RNG seeds
+//!   derive from job keys, so results are bit-identical for any worker count.
 //! * [`breakdown`] — the §V-C static/dynamic energy-savings decomposition.
 //! * [`whatif`] — the §V-D fio-based analysis: in-situ vs data
 //!   reorganization for a random-I/O application.
@@ -52,6 +54,7 @@ pub mod cluster_sweep;
 pub mod compare;
 pub mod config;
 pub mod experiment;
+pub mod grid;
 pub mod pipeline;
 pub mod placement;
 pub mod probes;

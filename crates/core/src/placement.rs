@@ -17,17 +17,17 @@
 //! the journal, metrics, and manifest are byte-identical for any `--jobs`
 //! value and across repeated runs with the same `--fault-seed`.
 
+use std::convert::Infallible;
+
 use greenness_faults::{fnv1a64, splitmix64, FaultPlan, Site};
 use greenness_platform::{DiskModel, HardwareSpec, Node, Phase};
 use greenness_storage::{
     EnergyGreedyPolicy, FileSystem, FreqRecencyPolicy, FsConfig, NoopPolicy, PlacementPolicy,
     TierCounters, TierSpec, TieredStore,
 };
-use greenness_trace::{escape_json, MetricsRegistry, Tracer, Value};
+use greenness_trace::{MetricsRegistry, Tracer, Value};
 
-use greenness_pool::run_pool;
-
-use crate::sweep::{Progress, SweepError};
+use crate::grid::{self, quoted, run_grid, GridResult, Progress, SweepError};
 
 /// Workload scale: `Small` keeps CI and the golden tests fast; `Paper`
 /// matches the §IV-C data volumes (2 MiB snapshots, 50 timesteps).
@@ -324,6 +324,27 @@ pub struct PlacementResult {
     pub trace_metrics: Option<MetricsRegistry>,
 }
 
+impl GridResult for PlacementResult {
+    fn id(&self) -> usize {
+        self.id
+    }
+    fn key(&self) -> &str {
+        &self.key
+    }
+    fn seed(&self) -> Option<u64> {
+        Some(self.seed)
+    }
+    fn journal(&self) -> Option<&str> {
+        self.journal.as_deref()
+    }
+    fn end_ns(&self) -> u64 {
+        self.end_ns
+    }
+    fn metrics(&self) -> Option<&MetricsRegistry> {
+        self.trace_metrics.as_ref()
+    }
+}
+
 /// The full grid: every workload under every policy, workload-major — the
 /// column order of the placement report.
 pub fn placement_grid() -> Vec<PlacementJob> {
@@ -508,19 +529,10 @@ fn execute(job: PlacementJob, setup: &PlacementSetup) -> PlacementResult {
     let read_time_s = timeline.phase_duration(Phase::Read).as_secs_f64();
     let read_energy_j = timeline.phase_energy(Phase::Read).system_j();
     let end_ns = timeline.end().as_nanos();
-    let (journal, trace_metrics) = if tracer.is_on() {
-        tracer.gauge("run.end_s", time_s);
-        tracer.gauge("energy.system_j", energy_j);
-        tracer.snapshot("run");
-        tracer.end(end_ns, "run", Vec::new());
-        let out = tracer.drain().expect("tracer is on");
-        (Some(out.journal), Some(out.metrics))
-    } else {
-        (None, None)
-    };
+    let (journal, trace_metrics) = grid::close_run(&tracer, end_ns, time_s, energy_j);
 
     PlacementResult {
-        id: 0, // assigned by the collector
+        id: 0, // set from the submission index once the grid returns
         key,
         workload: job.workload.label(),
         policy: job.policy.label(),
@@ -549,8 +561,8 @@ fn snapshot_name(snap: u64) -> String {
     format!("snap{snap:04}")
 }
 
-/// Run the placement grid on `workers` threads; results come back in
-/// submission order regardless of scheduling.
+/// Run the placement grid on `workers` threads under the
+/// [`grid`](crate::grid) contract; results come back in submission order.
 ///
 /// # Errors
 /// [`SweepError::DuplicateKey`] when two jobs share a key;
@@ -561,55 +573,13 @@ pub fn run_placement(
     workers: usize,
     on_done: Progress<'_>,
 ) -> Result<Vec<PlacementResult>, SweepError> {
-    let total = jobs.len();
-    if total == 0 {
-        return Ok(Vec::new());
+    let mut results = run_grid(&jobs, workers, on_done, PlacementJob::key, |job| {
+        Ok::<_, Infallible>(execute(*job, setup))
+    })?;
+    for (id, r) in results.iter_mut().enumerate() {
+        r.id = id;
     }
-    {
-        let mut keys: Vec<String> = jobs.iter().map(PlacementJob::key).collect();
-        keys.sort();
-        for pair in keys.windows(2) {
-            if pair[0] == pair[1] {
-                return Err(SweepError::DuplicateKey {
-                    key: pair[0].clone(),
-                });
-            }
-        }
-    }
-    let mut slots: Vec<Option<PlacementResult>> = (0..total).map(|_| None).collect();
-    let mut failures: Vec<(usize, String)> = Vec::new();
-    let mut finished = 0usize;
-    run_pool(
-        total,
-        workers,
-        &|idx| execute(jobs[idx], setup),
-        &mut |idx, outcome| match outcome {
-            Ok(mut result) => {
-                finished += 1;
-                on_done(finished, total, &jobs[idx].key());
-                result.id = idx;
-                slots[idx] = Some(result);
-            }
-            Err(message) => failures.push((idx, message)),
-        },
-    );
-    if let Some((id, message)) = failures.into_iter().min_by_key(|(id, _)| *id) {
-        return Err(SweepError::JobPanicked {
-            id,
-            key: jobs[id].key(),
-            message,
-        });
-    }
-    slots
-        .into_iter()
-        .enumerate()
-        .map(|(i, slot)| {
-            slot.ok_or_else(|| SweepError::JobLost {
-                id: i,
-                key: jobs[i].key(),
-            })
-        })
-        .collect()
+    Ok(results)
 }
 
 /// Read-phase energy ratio random / sequential under the noop policy — the
@@ -637,116 +607,52 @@ pub fn gap_ratio_under(results: &[PlacementResult], policy: &str) -> Option<f64>
     Some(cell("random")? / cell("seqscan")?)
 }
 
-/// Assemble the placement-sweep journal: schema header, then each traced
-/// job's journal in a `job` span, job-id order — byte-identical across
-/// worker counts. `None` when no job was traced.
-pub fn placement_journal(results: &[PlacementResult]) -> Option<String> {
-    if results.iter().all(|r| r.journal.is_none()) {
-        return None;
-    }
-    let mut s = greenness_trace::journal_header();
-    for r in results {
-        let Some(journal) = &r.journal else {
-            continue;
-        };
-        s.push_str(&format!(
-            "{{\"t_ns\":0,\"ev\":\"begin\",\"name\":\"job\",\"job\":{},\"key\":\"{}\",\"seed\":{}}}\n",
-            r.id,
-            escape_json(&r.key),
-            r.seed
-        ));
-        s.push_str(journal);
-        s.push_str(&format!(
-            "{{\"t_ns\":{},\"ev\":\"end\",\"name\":\"job\",\"job\":{}}}\n",
-            r.end_ns, r.id
-        ));
-    }
-    Some(s)
-}
-
-/// Render the placement metrics file (`greenness-metrics/v1`): one labeled
-/// registry per traced job, job-id order. `None` when no job was traced.
-pub fn placement_metrics_json(results: &[PlacementResult]) -> Option<String> {
-    let entries: Vec<(String, MetricsRegistry)> = results
-        .iter()
-        .filter_map(|r| r.trace_metrics.clone().map(|m| (r.key.clone(), m)))
-        .collect();
-    if entries.is_empty() {
-        None
-    } else {
-        Some(greenness_trace::metrics_file_json(&entries))
-    }
-}
-
 /// Render the structured placement manifest
 /// (`repro_out/placement.json`) — a pure function of the results.
 pub fn placement_manifest_json(scale: PlacementScale, results: &[PlacementResult]) -> String {
-    let mut s = String::with_capacity(1024 + 768 * results.len());
-    s.push_str("{\n  \"schema\": \"greenness-placement-manifest/v1\",\n");
-    s.push_str(&format!(
-        "  \"scale\": \"{}\",\n  \"jobs\": [\n",
-        scale.label()
-    ));
-    for (i, r) in results.iter().enumerate() {
-        s.push_str("    {\n");
-        s.push_str(&format!("      \"id\": {},\n", r.id));
-        s.push_str(&format!("      \"key\": \"{}\",\n", escape_json(&r.key)));
-        s.push_str(&format!("      \"workload\": \"{}\",\n", r.workload));
-        s.push_str(&format!("      \"policy\": \"{}\",\n", r.policy));
-        s.push_str(&format!("      \"seed\": {},\n", r.seed));
-        s.push_str(&format!("      \"time_s\": {:?},\n", r.time_s));
-        s.push_str(&format!("      \"energy_j\": {:?},\n", r.energy_j));
-        s.push_str(&format!("      \"avg_power_w\": {:?},\n", r.avg_power_w));
-        s.push_str(&format!("      \"read_time_s\": {:?},\n", r.read_time_s));
-        s.push_str(&format!(
-            "      \"read_energy_j\": {:?},\n",
-            r.read_energy_j
-        ));
-        s.push_str(&format!(
-            "      \"extra_tier_idle_j\": {:?},\n",
-            r.extra_tier_idle_j
-        ));
-        s.push_str(&format!(
-            "      \"bytes_written\": {},\n      \"bytes_read\": {},\n",
-            r.bytes_written, r.bytes_read
-        ));
-        s.push_str(&format!(
-            "      \"promotes\": {},\n      \"demotes\": {},\n",
-            r.promotes, r.demotes
-        ));
-        s.push_str(&format!(
-            "      \"migration_faults\": {},\n      \"io_retries\": {},\n",
-            r.migration_faults, r.io_retries
-        ));
-        s.push_str(&format!("      \"verified\": {},\n", r.verified));
-        s.push_str("      \"tiers\": [");
-        for (j, t) in r.tiers.iter().enumerate() {
-            if j > 0 {
-                s.push_str(", ");
-            }
-            s.push_str(&format!(
-                "{{\"name\": \"{}\", \"bytes_read\": {}, \"bytes_written\": {}, \"hits\": {}}}",
-                escape_json(&t.name),
-                t.bytes_read,
-                t.bytes_written,
-                t.hits
-            ));
-        }
-        s.push_str("]\n");
-        s.push_str(if i + 1 == results.len() {
-            "    }\n"
-        } else {
-            "    },\n"
-        });
-    }
-    s.push_str("  ]\n}\n");
-    s
+    let header = [("scale", quoted(scale.label()))];
+    grid::manifest_json("greenness-placement-manifest/v1", &header, results, |r| {
+        let tiers: Vec<String> = r
+            .tiers
+            .iter()
+            .map(|t| {
+                format!(
+                    "{{\"name\": {}, \"bytes_read\": {}, \"bytes_written\": {}, \"hits\": {}}}",
+                    quoted(&t.name),
+                    t.bytes_read,
+                    t.bytes_written,
+                    t.hits
+                )
+            })
+            .collect();
+        vec![
+            ("id", r.id.to_string()),
+            ("key", quoted(&r.key)),
+            ("workload", quoted(r.workload)),
+            ("policy", quoted(r.policy)),
+            ("seed", r.seed.to_string()),
+            ("time_s", format!("{:?}", r.time_s)),
+            ("energy_j", format!("{:?}", r.energy_j)),
+            ("avg_power_w", format!("{:?}", r.avg_power_w)),
+            ("read_time_s", format!("{:?}", r.read_time_s)),
+            ("read_energy_j", format!("{:?}", r.read_energy_j)),
+            ("extra_tier_idle_j", format!("{:?}", r.extra_tier_idle_j)),
+            ("bytes_written", r.bytes_written.to_string()),
+            ("bytes_read", r.bytes_read.to_string()),
+            ("promotes", r.promotes.to_string()),
+            ("demotes", r.demotes.to_string()),
+            ("migration_faults", r.migration_faults.to_string()),
+            ("io_retries", r.io_retries.to_string()),
+            ("verified", r.verified.to_string()),
+            ("tiers", format!("[{}]", tiers.join(", "))),
+        ]
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sweep::silent_progress;
+    use crate::grid::silent_progress;
 
     fn small_run(policy: PolicyKind, workload: PlacementWorkload) -> PlacementResult {
         let mut r = run_placement(

@@ -1,34 +1,28 @@
-//! Deterministic parallel sweep executor for the paper's experiment grid.
-//!
-//! The paper's results are a grid of *independent* runs — 3 case studies ×
-//! pipeline kinds × hardware/interval variants (Figures 4–11, Tables
-//! II–III) — so reproduction wall-clock should be bounded by the slowest
-//! job, not the sum. This module provides the batch layer everything above
-//! it (the `repro` and `greenness` binaries, the integration tests, and the
-//! extension studies) submits through:
+//! The paper's experiment grid: 3 case studies × pipeline kinds ×
+//! hardware/interval variants (Figures 4–11, Tables II–III), every cell an
+//! independent run. The `repro` and `greenness` binaries, the integration
+//! tests, the serve layer and the extension studies all submit through here.
 //!
 //! * a [`SweepJob`] is one pipeline run: `(case, PipelineKind,
 //!   PipelineConfig, ExperimentSetup)`;
-//! * [`run_sweep`] executes a batch on the bounded **work-stealing pool**
-//!   from `greenness-pool` (std-only — the crate registry is not always
-//!   reachable from the build hosts), the same pool the placement sweep and
-//!   the threaded stencil tiles schedule onto;
-//! * results come back **keyed and ordered by job id** (submission order),
-//!   so output never depends on scheduling;
-//! * every job derives its RNG seed from its own *job key* — never from
-//!   worker identity or execution order — so a sweep is **bit-identical for
-//!   any worker count, including 1** (pinned by
-//!   `tests/parallel_determinism.rs`);
-//! * [`manifest_json`] renders the per-job results manifest the `repro`
-//!   binary writes to `repro_out/manifest.json` and the golden tests
-//!   consume.
+//! * [`run_sweep`] runs a batch through [`grid::run_grid`] and returns it in
+//!   submission order;
+//! * every job derives its RNG seed from its own *job key*, never from
+//!   worker identity or execution order, so a sweep is **bit-identical for
+//!   any worker count, including 1** (`tests/parallel_determinism.rs`);
+//! * [`manifest_json`] renders the per-job manifest `repro_out/manifest.json`;
+//!   [`grid::journal`] and [`grid::metrics_json`] the traced artifacts.
 
-use greenness_pool::run_pool;
+use greenness_faults::{fnv1a64, splitmix64};
+use greenness_trace::MetricsRegistry;
 
 use crate::compare::CaseComparison;
 use crate::config::PipelineConfig;
 use crate::experiment::{run, ExperimentSetup, PipelineReport};
+use crate::grid::{self, quoted, run_grid, GridResult};
 use crate::pipeline::{PipelineError, PipelineKind};
+
+pub use crate::grid::{silent_progress, Progress, SweepError};
 
 /// One cell of the experiment grid.
 #[derive(Debug, Clone)]
@@ -105,174 +99,66 @@ pub struct JobResult {
     pub report: PipelineReport,
 }
 
-/// Progress notification passed to the `on_done` callback of [`run_sweep`]:
-/// `(jobs finished so far, total jobs, key of the job that just finished)`.
-pub type Progress<'a> = &'a (dyn Fn(usize, usize, &str) + Sync);
-
-/// No-op progress callback for callers that don't report.
-pub fn silent_progress() -> impl Fn(usize, usize, &str) + Sync {
-    |_, _, _| {}
-}
-
-/// Why a sweep batch could not produce a complete result set.
-///
-/// The executor never panics on caller input: a job that panics is caught on
-/// its worker thread and reported as a value, so one bad batch fails only its
-/// own caller — a long-lived server keeps serving, and the pool state (which
-/// is all per-call) cannot be poison-cascaded into later sweeps.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SweepError {
-    /// Two submitted jobs share a key; they would silently collapse into one
-    /// manifest entry.
-    DuplicateKey {
-        /// The colliding key.
-        key: String,
-    },
-    /// A job panicked while executing; the rest of the batch still ran.
-    JobPanicked {
-        /// Job id (submission index).
-        id: usize,
-        /// The job's key.
-        key: String,
-        /// The panic payload, when it was a string.
-        message: String,
-    },
-    /// A job's pipeline run reported an error (bad solver config, device too
-    /// small…); the rest of the batch still ran.
-    JobFailed {
-        /// Job id (submission index).
-        id: usize,
-        /// The job's key.
-        key: String,
-        /// The pipeline error, rendered.
-        message: String,
-    },
-    /// A job neither returned nor reported a panic (a worker died without
-    /// delivering — should be unreachable).
-    JobLost {
-        /// Job id (submission index).
-        id: usize,
-        /// The job's key.
-        key: String,
-    },
-}
-
-impl std::fmt::Display for SweepError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SweepError::DuplicateKey { key } => {
-                write!(f, "sweep jobs must have unique keys; '{key}' repeats")
-            }
-            SweepError::JobPanicked { id, key, message } => {
-                write!(f, "sweep job {id} ({key}) panicked: {message}")
-            }
-            SweepError::JobFailed { id, key, message } => {
-                write!(f, "sweep job {id} ({key}) failed: {message}")
-            }
-            SweepError::JobLost { id, key } => {
-                write!(f, "sweep job {id} ({key}) finished without a result")
-            }
-        }
+impl GridResult for JobResult {
+    fn id(&self) -> usize {
+        self.id
+    }
+    fn key(&self) -> &str {
+        &self.key
+    }
+    fn seed(&self) -> Option<u64> {
+        Some(self.seed)
+    }
+    fn journal(&self) -> Option<&str> {
+        self.report.journal.as_deref()
+    }
+    fn end_ns(&self) -> u64 {
+        self.report.timeline.end().as_nanos()
+    }
+    fn metrics(&self) -> Option<&MetricsRegistry> {
+        self.report.trace_metrics.as_ref()
     }
 }
 
-impl std::error::Error for SweepError {}
-
-/// Execute `jobs` on `workers` threads and return results ordered by job id.
-///
-/// `workers` is clamped to `1..=jobs.len()`; `workers == 1` degenerates to a
-/// serial run on one spawned thread. `on_done` fires on the *calling* thread
-/// as results arrive (arrival order is scheduling-dependent; the returned
-/// `Vec` is not).
+/// Execute `jobs` on `workers` threads and return results ordered by job id,
+/// under the [`grid`](crate::grid) contract.
 ///
 /// # Errors
 /// [`SweepError::DuplicateKey`] when two jobs share a key;
 /// [`SweepError::JobFailed`] when a job's pipeline run reported an error;
-/// [`SweepError::JobPanicked`] when a job panicked (the panic is caught on
-/// the worker — the remaining jobs still run, and the lowest-id failure is
-/// reported for determinism).
+/// [`SweepError::JobPanicked`] when a job panicked (the lowest-id failure is
+/// reported).
 pub fn run_sweep(
     jobs: Vec<SweepJob>,
     workers: usize,
     on_done: Progress<'_>,
 ) -> Result<Vec<JobResult>, SweepError> {
-    let total = jobs.len();
-    if total == 0 {
-        return Ok(Vec::new());
-    }
-    {
-        let mut keys: Vec<String> = jobs.iter().map(SweepJob::key).collect();
-        keys.sort();
-        for pair in keys.windows(2) {
-            if pair[0] == pair[1] {
-                return Err(SweepError::DuplicateKey {
-                    key: pair[0].clone(),
-                });
-            }
-        }
-    }
-    let mut slots: Vec<Option<JobResult>> = (0..total).map(|_| None).collect();
-    let mut failures: Vec<(usize, bool, String)> = Vec::new();
-    let mut finished = 0usize;
-    run_pool(
-        total,
-        workers,
-        &|idx| jobs[idx].execute(),
-        &mut |idx, outcome| match outcome {
-            Ok(Ok(report)) => {
-                finished += 1;
-                on_done(finished, total, &jobs[idx].key());
-                slots[idx] = Some(JobResult {
-                    id: idx,
-                    key: jobs[idx].key(),
-                    group: jobs[idx].group(),
-                    seed: jobs[idx].derived_seed(),
-                    case: jobs[idx].case,
-                    kind: jobs[idx].kind,
-                    report,
-                });
-            }
-            Ok(Err(e)) => failures.push((idx, false, e.to_string())),
-            Err(message) => failures.push((idx, true, message)),
-        },
-    );
-
-    if let Some((id, panicked, message)) = failures.into_iter().min_by_key(|(id, _, _)| *id) {
-        let key = jobs[id].key();
-        return Err(if panicked {
-            SweepError::JobPanicked { id, key, message }
-        } else {
-            SweepError::JobFailed { id, key, message }
-        });
-    }
-    slots
+    let reports = run_grid(&jobs, workers, on_done, SweepJob::key, SweepJob::execute)?;
+    Ok(jobs
         .into_iter()
+        .zip(reports)
         .enumerate()
-        .map(|(i, slot)| {
-            slot.ok_or_else(|| SweepError::JobLost {
-                id: i,
-                key: jobs[i].key(),
-            })
+        .map(|(id, (job, report))| JobResult {
+            id,
+            key: job.key(),
+            group: job.group(),
+            seed: job.derived_seed(),
+            case: job.case,
+            kind: job.kind,
+            report,
         })
-        .collect()
+        .collect())
 }
 
 /// The standard figure grid: both measured pipelines over each requested
 /// case study, in deterministic submission order (case-major, then
 /// post-processing before in-situ — the column order of Figures 7–11).
 pub fn case_grid(setup: &ExperimentSetup, cases: &[u32]) -> Vec<SweepJob> {
-    let mut jobs = Vec::with_capacity(cases.len() * 2);
-    for &n in cases {
-        for kind in [PipelineKind::PostProcessing, PipelineKind::InSitu] {
-            jobs.push(SweepJob {
-                case: n,
-                kind,
-                cfg: PipelineConfig::case_study(n),
-                setup: setup.clone(),
-            });
-        }
-    }
-    jobs
+    let configs: Vec<_> = cases
+        .iter()
+        .map(|&n| (n, PipelineConfig::case_study(n)))
+        .collect();
+    config_grid(setup, &configs)
 }
 
 /// Same grid over an explicit `(case, cfg)` list — tests use scaled-down
@@ -315,54 +201,6 @@ pub fn comparisons(results: &[JobResult]) -> Vec<CaseComparison> {
     out
 }
 
-/// Assemble the sweep-level event journal: the `greenness-trace/v1` schema
-/// header, then each traced job's journal wrapped in a `job` span, in job-id
-/// order. Per-job journals use job-local virtual time (every job starts at
-/// t = 0); the `job` begin event marks the clock reset for consumers.
-///
-/// Like [`manifest_json`], the output is a pure function of the results —
-/// byte-identical across worker counts (`tests/parallel_determinism.rs`).
-/// Returns `None` when no job was traced.
-pub fn sweep_journal(results: &[JobResult]) -> Option<String> {
-    if results.iter().all(|r| r.report.journal.is_none()) {
-        return None;
-    }
-    let mut s = greenness_trace::journal_header();
-    for r in results {
-        let Some(journal) = &r.report.journal else {
-            continue;
-        };
-        s.push_str(&format!(
-            "{{\"t_ns\":0,\"ev\":\"begin\",\"name\":\"job\",\"job\":{},\"key\":\"{}\",\"seed\":{}}}\n",
-            r.id,
-            escape_json(&r.key),
-            r.seed
-        ));
-        s.push_str(journal);
-        s.push_str(&format!(
-            "{{\"t_ns\":{},\"ev\":\"end\",\"name\":\"job\",\"job\":{}}}\n",
-            r.report.timeline.end().as_nanos(),
-            r.id
-        ));
-    }
-    Some(s)
-}
-
-/// Render the sweep-level metrics file (`greenness-metrics/v1`): one labeled
-/// registry per traced job, in job-id order, labeled by job key. Returns
-/// `None` when no job was traced.
-pub fn sweep_metrics_json(results: &[JobResult]) -> Option<String> {
-    let entries: Vec<(String, greenness_trace::MetricsRegistry)> = results
-        .iter()
-        .filter_map(|r| r.report.trace_metrics.clone().map(|m| (r.key.clone(), m)))
-        .collect();
-    if entries.is_empty() {
-        None
-    } else {
-        Some(greenness_trace::metrics_file_json(&entries))
-    }
-}
-
 /// Render the structured per-job manifest (`repro_out/manifest.json`).
 ///
 /// The output is a pure function of the job results: ids, keys, derived
@@ -370,102 +208,59 @@ pub fn sweep_metrics_json(results: &[JobResult]) -> Option<String> {
 /// about wall-clock, worker count, or host. Byte-identical manifests across
 /// `--jobs` values are an acceptance gate (`tests/parallel_determinism.rs`).
 pub fn manifest_json(results: &[JobResult]) -> String {
-    let mut s = String::with_capacity(1024 + 1024 * results.len());
-    s.push_str("{\n  \"schema\": \"greenness-sweep-manifest/v1\",\n  \"jobs\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        let m = &r.report.metrics;
-        let o = &r.report.output;
-        s.push_str("    {\n");
-        s.push_str(&format!("      \"id\": {},\n", r.id));
-        s.push_str(&format!("      \"key\": \"{}\",\n", escape_json(&r.key)));
-        s.push_str(&format!("      \"case\": {},\n", r.case));
-        s.push_str(&format!(
-            "      \"pipeline\": \"{}\",\n",
-            escape_json(r.kind.label())
-        ));
-        s.push_str(&format!(
-            "      \"config\": \"{}\",\n",
-            escape_json(&r.report.config_label)
-        ));
-        s.push_str(&format!("      \"seed\": {},\n", r.seed));
-        s.push_str(&format!(
-            "      \"execution_time_s\": {:?},\n",
-            m.execution_time_s
-        ));
-        s.push_str(&format!(
-            "      \"average_power_w\": {:?},\n",
-            m.average_power_w
-        ));
-        s.push_str(&format!("      \"peak_power_w\": {:?},\n", m.peak_power_w));
-        s.push_str(&format!("      \"energy_j\": {:?},\n", m.energy_j));
-        s.push_str(&format!("      \"work_units\": {:?},\n", m.work_units));
-        s.push_str("      \"phases\": [");
-        for (j, row) in r.report.phase_rows().iter().enumerate() {
-            if j > 0 {
-                s.push_str(", ");
-            }
-            s.push_str(&format!(
-                "{{\"phase\": \"{:?}\", \"time_s\": {:?}, \"time_pct\": {:?}, \
-                 \"energy_j\": {:?}, \"avg_power_w\": {:?}}}",
-                row.phase,
-                row.duration.as_secs_f64(),
-                row.time_pct,
-                row.energy_j,
-                row.avg_power_w
-            ));
-        }
-        s.push_str("],\n");
-        s.push_str(&format!(
-            "      \"output\": {{\"io_steps\": {}, \"bytes_written\": {}, \
-             \"bytes_read\": {}, \"frames\": {}, \"verified\": {}}},\n",
-            o.io_steps,
-            o.bytes_written,
-            o.bytes_read,
-            o.frames.len(),
-            o.verified
-        ));
-        s.push_str(&format!(
-            "      \"profile\": {{\"samples\": {}, \"avg_system_w\": {:?}}}\n",
-            r.report.profile.len(),
-            r.report.profile.average_system_w()
-        ));
-        s.push_str(if i + 1 == results.len() {
-            "    }\n"
-        } else {
-            "    },\n"
-        });
-    }
-    s.push_str("  ]\n}\n");
-    s
-}
-
-fn escape_json(raw: &str) -> String {
-    let mut out = String::with_capacity(raw.len());
-    for c in raw.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    h
-}
-
-fn splitmix64(seed: u64) -> u64 {
-    let mut z = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
+    grid::manifest_json("greenness-sweep-manifest/v1", &[], results, |r| {
+        let (m, o) = (&r.report.metrics, &r.report.output);
+        let phases: Vec<String> = r
+            .report
+            .phase_rows()
+            .iter()
+            .map(|row| {
+                format!(
+                    "{{\"phase\": \"{:?}\", \"time_s\": {:?}, \"time_pct\": {:?}, \
+                     \"energy_j\": {:?}, \"avg_power_w\": {:?}}}",
+                    row.phase,
+                    row.duration.as_secs_f64(),
+                    row.time_pct,
+                    row.energy_j,
+                    row.avg_power_w
+                )
+            })
+            .collect();
+        vec![
+            ("id", r.id.to_string()),
+            ("key", quoted(&r.key)),
+            ("case", r.case.to_string()),
+            ("pipeline", quoted(r.kind.label())),
+            ("config", quoted(&r.report.config_label)),
+            ("seed", r.seed.to_string()),
+            ("execution_time_s", format!("{:?}", m.execution_time_s)),
+            ("average_power_w", format!("{:?}", m.average_power_w)),
+            ("peak_power_w", format!("{:?}", m.peak_power_w)),
+            ("energy_j", format!("{:?}", m.energy_j)),
+            ("work_units", format!("{:?}", m.work_units)),
+            ("phases", format!("[{}]", phases.join(", "))),
+            (
+                "output",
+                format!(
+                    "{{\"io_steps\": {}, \"bytes_written\": {}, \"bytes_read\": {}, \
+                     \"frames\": {}, \"verified\": {}}}",
+                    o.io_steps,
+                    o.bytes_written,
+                    o.bytes_read,
+                    o.frames.len(),
+                    o.verified
+                ),
+            ),
+            (
+                "profile",
+                format!(
+                    "{{\"samples\": {}, \"avg_system_w\": {:?}}}",
+                    r.report.profile.len(),
+                    r.report.profile.average_system_w()
+                ),
+            ),
+        ]
+    })
 }
 
 #[cfg(test)]
@@ -550,8 +345,8 @@ mod tests {
     #[test]
     fn traced_sweeps_are_schedule_invariant_and_untraced_emit_nothing() {
         let plain = run_sweep(small_grid(), 2, &silent_progress()).expect("sweep ok");
-        assert!(sweep_journal(&plain).is_none());
-        assert!(sweep_metrics_json(&plain).is_none());
+        assert!(grid::journal(&plain).is_none());
+        assert!(grid::metrics_json(&plain).is_none());
 
         let traced_grid = || {
             let setup = ExperimentSetup {
@@ -563,14 +358,14 @@ mod tests {
         let serial = run_sweep(traced_grid(), 1, &silent_progress()).expect("sweep ok");
         let wide = run_sweep(traced_grid(), 2, &silent_progress()).expect("sweep ok");
         let (ja, jb) = (
-            sweep_journal(&serial).unwrap(),
-            sweep_journal(&wide).unwrap(),
+            grid::journal(&serial).unwrap(),
+            grid::journal(&wide).unwrap(),
         );
         assert_eq!(ja, jb, "journal must not depend on worker count");
         assert!(ja.starts_with("{\"schema\":\"greenness-trace/v1\"}\n"));
         assert_eq!(
-            sweep_metrics_json(&serial).unwrap(),
-            sweep_metrics_json(&wide).unwrap()
+            grid::metrics_json(&serial).unwrap(),
+            grid::metrics_json(&wide).unwrap()
         );
     }
 

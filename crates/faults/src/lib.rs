@@ -220,8 +220,8 @@ impl FaultInjector {
     }
 }
 
-/// FNV-1a 64-bit — the same constants as `greenness_core::sweep`'s job-key
-/// hash, so fault seeds and RNG seeds share one derivation convention.
+/// FNV-1a 64-bit — also the job-key hash `greenness_core::sweep` derives
+/// meter seeds with, so fault seeds and RNG seeds share one convention.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {

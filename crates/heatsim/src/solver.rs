@@ -1,9 +1,9 @@
 //! Explicit (FTCS) finite-difference solver for the 2-D heat equation.
 //!
 //! `∂u/∂t = α ∇²u + q`, advanced with forward-time centered-space stepping on
-//! the unit square. The interior update is parallelized over rows with rayon
-//! (each output row depends only on the previous time level, so rows are
-//! independent). Stability requires the CFL condition
+//! the unit square. Each output row depends only on the previous time level,
+//! so rows are independent (see *Threading* below). Stability requires the
+//! CFL condition
 //! `α·Δt·(1/Δx² + 1/Δy²) ≤ ½`, checked at construction.
 //!
 //! The production [`HeatSolver::step`] splits every row into an interior
@@ -29,13 +29,11 @@ use std::fmt;
 use std::sync::{Mutex, PoisonError};
 
 use greenness_pool::run_pool;
-use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 
 use crate::grid::Grid;
 
 /// Boundary condition applied on all four edges.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Boundary {
     /// Fixed edge temperature (heat flows through the walls).
     Dirichlet(f64),
@@ -44,7 +42,7 @@ pub enum Boundary {
 }
 
 /// A continuous point heat source: adds `rate` to one cell per unit time.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PointSource {
     /// Cell x-index.
     pub i: usize,
@@ -55,7 +53,7 @@ pub struct PointSource {
 }
 
 /// Solver configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SolverConfig {
     /// Thermal diffusivity α.
     pub alpha: f64,
@@ -337,7 +335,7 @@ impl HeatSolver {
 
         self.scratch
             .as_mut_slice()
-            .par_chunks_mut(nx)
+            .chunks_mut(nx)
             .enumerate()
             .for_each(|(j, row)| {
                 let j = j as isize;
@@ -840,21 +838,16 @@ mod tests {
 
     #[test]
     fn parallel_and_sequential_results_agree() {
-        // Run the same problem under a single-thread pool and the global
-        // pool; rayon must not change the arithmetic.
+        // Run the same problem on one thread and on four row bands of the
+        // pool; threading must not change the arithmetic.
         let cfg = SolverConfig::default();
         let init = Grid::from_fn(48, 32, |x, y| (x * 3.0).sin() + (y * 5.0).cos());
         let mut par = solver(init.clone(), cfg.clone());
+        par.set_jobs(4);
         par.run(60);
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(1)
-            .build()
-            .unwrap();
-        let seq = pool.install(|| {
-            let mut s = solver(init, cfg);
-            s.run(60);
-            s.grid().clone()
-        });
-        assert_eq!(par.grid(), &seq);
+        let mut seq = solver(init, cfg);
+        seq.set_jobs(1);
+        seq.run(60);
+        assert_eq!(par.grid(), seq.grid());
     }
 }

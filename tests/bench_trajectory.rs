@@ -12,8 +12,9 @@
 //!   including the thinnest legal slabs;
 //! * the blocked single-pass transpose encoder is bit-for-bit the retained
 //!   strided reference on arbitrary payloads;
-//! * an invalid solver config handed to either binary is a *usage* error:
-//!   exit 2 with a structured message, before any work runs.
+//! * an invalid solver config handed to either binary, or an unknown
+//!   `repro` artifact, is a *usage* error: exit 2 with a structured
+//!   message, before any work runs; an unwritable grid output exits 1.
 
 use std::process::Command;
 
@@ -194,4 +195,39 @@ fn invalid_solver_config_is_a_usage_error_in_both_binaries() {
             "{bin} {args:?} stderr: {stderr}"
         );
     }
+}
+
+/// An unknown artifact name is a usage error like any other: `repro`
+/// exits 2 and lists what it can regenerate, instead of panicking.
+#[test]
+fn unknown_repro_artifact_is_a_usage_error() {
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["table1", "bogus"])
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(2), "got {:?}", out.status);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("unknown artifact 'bogus'") && stderr.contains("fig10"),
+        "stderr: {stderr}"
+    );
+    assert!(out.stdout.is_empty(), "no artifact may run first");
+}
+
+/// A grid output path that cannot be written is reported with exit 1 once
+/// the grid has run, not a panic (exit 101).
+#[test]
+fn unwritable_grid_output_is_an_error_not_a_panic() {
+    let out = Command::new(env!("CARGO_BIN_EXE_greenness"))
+        .args(["cluster", "--kind", "insitu", "-j", "1"])
+        .args(["--metrics", "/nonexistent-dir/metrics.json"])
+        .current_dir(env!("CARGO_TARGET_TMPDIR"))
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(1), "got {:?}", out.status);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("cannot write /nonexistent-dir/metrics.json"),
+        "stderr: {stderr}"
+    );
 }

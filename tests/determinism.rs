@@ -76,7 +76,7 @@ fn all_pipelines_are_deterministic() {
 /// from worker identity or completion order.
 #[test]
 fn cluster_sweep_artifacts_are_byte_identical_across_workers_and_reruns() {
-    use greenness_core::{cluster_sweep, sweep};
+    use greenness_core::{cluster_sweep, grid, sweep};
     use greenness_faults::FaultPlan;
     let setup = cluster_sweep::ClusterSetup {
         faults: Some(FaultPlan::with_seed(5)),
@@ -93,8 +93,8 @@ fn cluster_sweep_artifacts_are_byte_identical_across_workers_and_reruns() {
         .expect("cluster sweep runs");
         (
             cluster_sweep::cluster_manifest_json(&setup, &results),
-            cluster_sweep::cluster_journal(&results).expect("traced sweep has a journal"),
-            cluster_sweep::cluster_metrics_json(&results).expect("traced sweep has metrics"),
+            grid::journal(&results).expect("traced sweep has a journal"),
+            grid::metrics_json(&results).expect("traced sweep has metrics"),
         )
     };
     let serial = run(1);
@@ -109,4 +109,19 @@ fn cluster_sweep_artifacts_are_byte_identical_across_workers_and_reruns() {
     );
     assert_eq!(wide.1, again.1, "journal not reproducible for a fixed seed");
     assert_eq!(wide.2, again.2, "metrics not reproducible for a fixed seed");
+    // Pinned across commits, not just across runs of one build.
+    let digest =
+        |s: &str| greenness_trace::hash::hex(&greenness_trace::hash::blake2s256(s.as_bytes()));
+    assert_eq!(
+        digest(&serial.0),
+        "21aacc4a256100bf13098a609b165e602a175af46685b7e81f1422a10b8c3998"
+    );
+    assert_eq!(
+        digest(&serial.1),
+        "3fc3fa2afd92013dd860bc67126dbd4f2e4db525d7fc78348111b5ce79ad6663"
+    );
+    assert_eq!(
+        digest(&serial.2),
+        "0ed463478e54c8eb96414e4bddac25adfd43fe530e6ebe446ae8cbbbbbe60129"
+    );
 }

@@ -2,8 +2,10 @@
 //! any worker count, because every job's RNG seed derives from its key —
 //! never from worker identity or execution order.
 
+use greenness_core::grid;
 use greenness_core::sweep::{self, JobResult, SweepJob};
 use greenness_core::{ExperimentSetup, PipelineConfig};
+use greenness_trace::hash::{blake2s256, hex};
 
 /// A small but non-trivial grid: three cases × two pipelines, six jobs.
 fn small_grid(setup: &ExperimentSetup) -> Vec<SweepJob> {
@@ -89,21 +91,34 @@ fn traced_journals_and_metrics_are_byte_identical_across_worker_counts() {
         ..ExperimentSetup::default()
     };
     let serial = run_with(1, &setup);
-    let journal = sweep::sweep_journal(&serial).expect("traced sweep has a journal");
-    let metrics = sweep::sweep_metrics_json(&serial).expect("traced sweep has metrics");
+    let journal = grid::journal(&serial).expect("traced sweep has a journal");
+    let metrics = grid::metrics_json(&serial).expect("traced sweep has metrics");
     assert!(journal.starts_with("{\"schema\":\"greenness-trace/v1\"}\n"));
+    // Pinned across commits, not just across worker counts: a change to the
+    // grid runner's framing must not move a byte of these artifacts.
+    let digest = |s: &str| hex(&blake2s256(s.as_bytes()));
+    assert_eq!(
+        digest(&sweep::manifest_json(&serial)),
+        "d20dd0fbaaeacff21d6c0f15b67f162fd81ea727783ca73ed4e40fe1c5f89ef4"
+    );
+    assert_eq!(
+        digest(&journal),
+        "b5cde494f993b41728bb2b4116d8cd4ae72ac06a80c008b79176b684dc9a9d29"
+    );
+    assert_eq!(
+        digest(&metrics),
+        "a14969432f7bd59c660ebdc4d028f76151b40eaa57191ba7ef5102de162c731f"
+    );
     for workers in [2usize, 8] {
         let parallel = run_with(workers, &setup);
         assert_eq!(
             journal.as_bytes(),
-            sweep::sweep_journal(&parallel).expect("journal").as_bytes(),
+            grid::journal(&parallel).expect("journal").as_bytes(),
             "journal diverged at {workers} workers"
         );
         assert_eq!(
             metrics.as_bytes(),
-            sweep::sweep_metrics_json(&parallel)
-                .expect("metrics")
-                .as_bytes(),
+            grid::metrics_json(&parallel).expect("metrics").as_bytes(),
             "metrics diverged at {workers} workers"
         );
     }

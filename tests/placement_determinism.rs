@@ -8,8 +8,9 @@
 use greenness_core::placement::{
     self, PlacementJob, PlacementScale, PlacementSetup, PlacementWorkload, PolicyKind,
 };
-use greenness_core::sweep;
+use greenness_core::{grid, sweep};
 use greenness_faults::FaultPlan;
+use greenness_trace::hash::{blake2s256, hex};
 
 fn traced_setup(fault_seed: Option<u64>) -> PlacementSetup {
     PlacementSetup {
@@ -28,10 +29,15 @@ fn artifacts(setup: &PlacementSetup, workers: usize) -> (String, String, String)
     )
     .expect("placement grid runs");
     (
-        placement::placement_journal(&results).expect("journal recorded"),
-        placement::placement_metrics_json(&results).expect("metrics recorded"),
+        grid::journal(&results).expect("journal recorded"),
+        grid::metrics_json(&results).expect("metrics recorded"),
         placement::placement_manifest_json(PlacementScale::Small, &results),
     )
+}
+
+/// BLAKE2s of an artifact, hex: pins its bytes across commits.
+fn digest(s: &str) -> String {
+    hex(&blake2s256(s.as_bytes()))
 }
 
 /// Worker-count invariance: `--jobs 1` and `--jobs 8` produce the same
@@ -44,6 +50,19 @@ fn artifacts_are_worker_count_invariant() {
     assert_eq!(j1, j8, "journal must not depend on worker count");
     assert_eq!(m1, m8, "metrics must not depend on worker count");
     assert_eq!(man1, man8, "manifest must not depend on worker count");
+    // Pinned across commits, not just across worker counts.
+    assert_eq!(
+        digest(&j1),
+        "9b4af38bbfd55fffc6308f9d590130fd67ba408dca8b889f415654b510b884b8"
+    );
+    assert_eq!(
+        digest(&m1),
+        "bb03cd4eed75cddf5a0af7ae6502986b1ad32b297d6f9af81675dc9a6d2a5d30"
+    );
+    assert_eq!(
+        digest(&man1),
+        "ea6ded9306dbdda3126da9ec8f58b89c6a727ea11716811163c5f06d33c3388a"
+    );
 }
 
 /// Fault-seed reproducibility: the same seed gives byte-identical
@@ -60,6 +79,19 @@ fn fault_seeded_runs_reproduce_exactly() {
     assert_eq!(
         man_a, man_b,
         "same seed, different schedule: manifest diverged"
+    );
+
+    assert_eq!(
+        digest(&j_a),
+        "30c23b006171a72ee6a7e5548ee96558a5943a324728c7be5f0e4c011ebe45f7"
+    );
+    assert_eq!(
+        digest(&m_a),
+        "04bdf6faa468cac2275d9c1f1db91a59c4876461789969c8fc2512fc879be79e"
+    );
+    assert_eq!(
+        digest(&man_a),
+        "3429f735394d293d181238f2e038d65c8a03a36167df55a08a45efc72b43be50"
     );
 
     let (_, _, man_other) = artifacts(&traced_setup(Some(43)), 8);
